@@ -8,8 +8,9 @@ The two inner loops that dominate runtime live here:
   adaptive quadrature oracle hammers this).
 
 Set ``LIVCALC_NO_NUMBA=1`` to force the numpy path; it is also selected
-automatically when numba is unavailable.  Both paths compute identical sums
-in the same order.  ``benchmarks/bench_kernels.py`` compares them.
+automatically when numba is unavailable.  The two paths sum in different
+orders (``np.sum`` pairwise, numba sequentially), so their results agree to
+rounding, not bit for bit.  ``benchmarks/bench_kernels.py`` compares them.
 """
 
 from __future__ import annotations

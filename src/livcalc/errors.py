@@ -30,4 +30,5 @@ class OutOfRange(LivcalcError, ValueError):
 
 
 class QuadratureFailed(LivcalcError):
-    """Adaptive quadrature exhausted its refinement budget."""
+    """Adaptive quadrature exhausted its refinement budget or its integrand
+    left the double range."""

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import _kernels
 from .core import AnalyticFn, FnKind, ToleranceConfig, evaluate_many, fmt_float
@@ -232,6 +231,14 @@ def livsic_from_weyl(M: AnalyticFn) -> AnalyticFn:
 
 
 # --- Stieltjes inversion ------------------------------------------------
+
+
+def minimize_scalar(*args, **kwargs):
+    """``scipy.optimize.minimize_scalar``, imported on first use: scipy is
+    the slowest import in the package and only inversion needs it here."""
+    from scipy.optimize import minimize_scalar as scipy_minimize_scalar
+
+    return scipy_minimize_scalar(*args, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,19 @@ from .errors import QuadratureFailed
 #: Panel budget for the interval-halving loop.
 MAX_PANELS = 2**16
 _START_PANELS = 32
+#: Largest Re(a)*ell admitted: exp overflows a double past about 709.8, and
+#: the margin covers the Simpson weights and the panel sum.
+MAX_EXPONENT = 700.0
 
 
 def _adaptive_exp_integral(a: complex, ell: float, tol: float) -> complex:
     """Integral of exp(a*x) over [0, ell] by composite Simpson, halving the
     spacing until successive estimates differ by less than ``tol`` (relative
     once the magnitude exceeds 1)."""
+    if a.real * ell > MAX_EXPONENT:
+        raise QuadratureFailed(
+            f"exp(a*x) overflows a double on [0, {ell}] (a = {a}, Re(a)*ell > {MAX_EXPONENT})"
+        )
     n = _START_PANELS
     previous = simpson_exp(a, ell, n)
     while n < MAX_PANELS:
@@ -48,7 +55,9 @@ def model_livsic_quadrature(
     (g_z, g_-) integrates e^{-izx} times sqrt(2)/sqrt(1 - e^{-2 ell}) e^{-x}
     and (g_z, g_+) integrates e^{-izx} times sqrt(2)/sqrt(e^{2 ell} - 1) e^{x}
     (both defect elements are real-valued, so conjugation is a no-op).
-    Agrees with the closed form within ``cfg.quadrature_tol``.
+    Agrees with the closed form within ``cfg.quadrature_tol``; raises
+    QuadratureFailed when an integrand overflows, i.e. once
+    (Im z + 1) * ell exceeds MAX_EXPONENT.
     """
     ell = float(ell)
     if not ell > 0.0:
@@ -56,7 +65,8 @@ def model_livsic_quadrature(
     z = require_upper(z)
     tol = cfg.quadrature_tol / 10.0
 
-    c_plus = math.sqrt(2.0) / math.sqrt(math.expm1(2.0 * ell))
+    # sqrt(e^{2 ell} - 1) = e^ell sqrt(1 - e^{-2 ell}): no overflow at large ell
+    c_plus = math.sqrt(2.0) * math.exp(-ell) / math.sqrt(-math.expm1(-2.0 * ell))
     c_minus = math.sqrt(2.0) / math.sqrt(-math.expm1(-2.0 * ell))
 
     inner_minus = c_minus * _adaptive_exp_integral(-1j * z - 1.0, ell, tol)

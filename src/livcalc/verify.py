@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import model as model_mod
 from . import oracle as oracle_mod
@@ -308,6 +307,8 @@ def coupling_checks(cfg: ToleranceConfig = ToleranceConfig()) -> List[CheckResul
 
 
 def model_checks(cfg: ToleranceConfig = ToleranceConfig()) -> List[CheckResult]:
+    from scipy.integrate import quad  # here, so that only verify-all pays for scipy
+
     grid = default_grid()
     out = []
     worst = 0.0

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import livcalc
 from livcalc.cli import main, parse_atoms, parse_complex
 
 
@@ -10,6 +14,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cold(*args):
+    """A fresh interpreter that imports this checkout's livcalc."""
+    src = os.path.dirname(os.path.dirname(livcalc.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
 
 
 class TestParsing:
@@ -92,6 +106,15 @@ class TestModelVerb:
     def test_rejects_lower_halfplane_eval(self, capsys):
         code, _, _ = run_cli(capsys, "model", "--length", "1", "--eval", "0-1i")
         assert code == 2
+
+    def test_oracle_overflow_is_typed_error(self, capsys):
+        # (Im z + 1) * ell = 1200: the oracle's integrand leaves the double range
+        code, out, err = run_cli(
+            capsys, "model", "--length", "400", "--eval", "0+2i", "--oracle"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "overflows" in err
 
 
 class TestCoupleVerb:
@@ -247,3 +270,27 @@ class TestUsageErrors:
     def test_missing_required(self, capsys):
         code, _, _ = run_cli(capsys, "couple", "--kappa1", "0.5")
         assert code == 2
+
+
+class TestColdStart:
+    def test_pointwise_verb_does_not_import_scipy(self):
+        script = (
+            "import sys\n"
+            "import livcalc.cli\n"
+            "code = livcalc.cli.main(['model', '--length', '1', '--eval', '0+2i', '--oracle'])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), code)\n"
+        )
+        done = run_cold("-c", script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().splitlines()[-1] == "[] 0"
+
+    def test_cold_inversion_recovers_both_atoms(self):
+        done = run_cold("-m", "livcalc.cli", "measure", "--atoms=1:1,-1:1", "--invert")
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        atoms = report["recovered_atoms"]
+        spacing = float(report["scan_spacing"])
+        assert len(atoms) == 2
+        for atom, loc in zip(atoms, (-1.0, 1.0)):
+            assert abs(float(atom["location"]) - loc) <= spacing
+            assert abs(float(atom["weight"]) - 1.0) < 0.02

@@ -133,6 +133,11 @@ class TestQuadratureOracle:
         with pytest.raises(ValueError):
             model_livsic_quadrature(1.0, -1j)
 
+    def test_normalizer_past_expm1_overflow(self):
+        # e^{2 ell} - 1 overflows a double from ell ~ 355 on
+        closed = model_closed_forms(400.0).livsic
+        assert abs(model_livsic_quadrature(400.0, 0.5j) - closed(0.5j)) < CFG.quadrature_tol
+
 
 class TestSplitInterval:
     def test_half_split(self):
