@@ -26,6 +26,7 @@ from .core import (
     evaluate_on_grid,
     fmt_float,
     grid_from_json,
+    min_imag,
     sup_deviation,
 )
 from .coupling import (
@@ -149,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_couple.add_argument("--kappa1", type=float, required=True)
     p_couple.add_argument("--kappa2", type=float, required=True)
     p_couple.add_argument("--length", type=float, default=1.0,
-                          help="length of the underlying interval models")
+                          help="length ell of the first interval model; the "
+                               "second has length 2 ell")
     p_couple.add_argument("--grid", type=str, default="default")
     p_couple.add_argument("--check", choices=("nunu", "formula1"), default="nunu")
     p_couple.add_argument("--format", choices=("json", "csv"), default="json")
@@ -237,8 +239,9 @@ _FORMULA1_KS = (0.0, 0.2, 0.37, 0.8)
 
 def cmd_couple(args) -> int:
     grid = load_grid(args.grid)
+    # two different lengths, so that swapping s1 and s2 breaks the law
     s1 = model_closed_forms(args.length).livsic
-    s2 = model_closed_forms(args.length).livsic
+    s2 = model_closed_forms(2.0 * args.length).livsic
     angles = coupling_angles(args.kappa1, args.kappa2)
     if args.check == "nunu":
         coupled = couple_livsic(s1, s2, angles)
@@ -288,7 +291,7 @@ def cmd_add(args) -> int:
     m1, m2 = verify_mod.reference_measures()
     combined = add_weyl(realize_herglotz(m1), realize_herglotz(m2), args.alpha)
     at_i = combined(1j)
-    min_im = min(combined(z).imag for z in grid)
+    min_im = min_imag(combined, grid)
     defect = abs(at_i - 1j)
     passed = defect < 1e-14 and min_im > 0.0
     emit_json(

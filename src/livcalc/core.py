@@ -1,17 +1,17 @@
 """Analytic functions on the open upper half-plane: representation, grids,
 tolerances, and pointwise comparison utilities.
 
-Functions are represented by their evaluators.  Every constructor in the
-package returns an :class:`AnalyticFn`, so identity checks reduce to pointwise
-sweeps over an :class:`EvaluationGrid`.
+Functions are represented by their array evaluators.  Every constructor in
+the package returns an :class:`AnalyticFn`, so identity checks reduce to
+array sweeps over an :class:`EvaluationGrid`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -42,35 +42,64 @@ def require_upper(z: complex) -> complex:
 class AnalyticFn:
     """An evaluatable analytic function on the open upper half-plane.
 
-    ``evaluator`` maps a half-plane point to a complex value.  ``kind`` tags
-    the class role the constructor claims for the function (contractivity for
+    ``evaluator`` maps a complex ndarray of half-plane points to the ndarray
+    of values, elementwise and of the same shape, so a point has the same
+    value alone as inside any array.  A NaN value marks a pole (see
+    :func:`divide_off_pole`).  Constructors that compose functions call the
+    inner evaluators, so the domain check and the pole guard of
+    :meth:`__call__` run once per call.  ``kind`` tags the class role the
+    constructor claims for the function (contractivity for
     Livsic/characteristic kinds, nonnegative imaginary part for Herglotz);
     the claims are checked by probe sweeps, not at construction.
-
-    ``vector_evaluator``, when present, evaluates a whole complex array at
-    once and must agree pointwise with ``evaluator``.
     """
 
-    evaluator: Callable[[complex], complex]
+    evaluator: Callable[[np.ndarray], np.ndarray]
     kind: FnKind = FnKind.GENERIC
     label: str = ""
-    vector_evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = field(
-        default=None, compare=False
-    )
 
-    def __call__(self, z: complex) -> complex:
-        z = require_upper(z)
-        try:
-            value = complex(self.evaluator(z))
-        except ZeroDivisionError as exc:
-            raise PoleEncountered(f"{self.label or 'function'}: pole at {z}") from exc
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)) or abs(
-            value
-        ) > OVERFLOW_GUARD:
-            raise PoleEncountered(
-                f"{self.label or 'function'}: value {value!r} at {z} exceeds overflow guard"
-            )
-        return value
+    def __call__(self, z):
+        """The value at a point, as a ``complex``, or the values over an
+        array of points, as an ndarray of the same shape.
+
+        Raises ValueError for a point outside the open upper half-plane and
+        PoleEncountered where a value is not finite or exceeds
+        OVERFLOW_GUARD.
+        """
+        zs, values, bad = _guarded_values(self, z)
+        if bad.any():
+            raise PoleEncountered(_pole_message(self, zs[np.argmax(bad)]))
+        if np.ndim(z) == 0:
+            return complex(values[0])
+        return values.reshape(np.shape(z))
+
+
+def _guarded_values(f: AnalyticFn, z):
+    """(points, values, pole mask) of ``f`` over the points of ``z``,
+    flattened."""
+    zs = np.asarray(z, dtype=np.complex128).reshape(-1)
+    outside = ~(zs.imag > 0.0) | ~np.isfinite(zs)
+    if outside.any():
+        point = complex(zs[np.argmax(outside)])
+        raise ValueError(f"point {point!r} is not in the open upper half-plane")
+    with np.errstate(all="ignore"):
+        values = np.asarray(f.evaluator(zs), dtype=np.complex128)
+        bad = ~np.isfinite(values) | (np.abs(values) > OVERFLOW_GUARD)
+    return zs, values, bad
+
+
+def _pole_message(f: AnalyticFn, z) -> str:
+    return f"{f.label or 'function'}: pole at {complex(z)}"
+
+
+def divide_off_pole(num, den, floor):
+    """``num / den``, with NaN wherever |den| < ``floor``.
+
+    The guard of :meth:`AnalyticFn.__call__` reports a NaN as a pole, so a
+    near-vanishing denominator raises alike in a point call and an array
+    call.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(den) < floor, np.nan, num / den)
 
 
 @dataclass(frozen=True)
@@ -135,51 +164,33 @@ def evaluate_on_grid(f: AnalyticFn, grid: EvaluationGrid) -> list:
     A pole does not abort the sweep: the offending entry holds the
     :class:`PoleEncountered` instance instead of a complex value.
     """
-    out = []
-    for z in grid:
-        try:
-            out.append(f(z))
-        except PoleEncountered as exc:
-            out.append(exc)
-    return out
+    zs, values, bad = _guarded_values(f, grid.as_array())
+    return [
+        PoleEncountered(_pole_message(f, z)) if pole else complex(value)
+        for z, value, pole in zip(zs, values, bad)
+    ]
 
 
 def evaluate_many(f: AnalyticFn, zs: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation; raises PoleEncountered on any bad value."""
-    zs = np.asarray(zs, dtype=np.complex128)
-    if not np.all(zs.imag > 0.0):
-        raise ValueError("all evaluation points must lie in the upper half-plane")
-    if f.vector_evaluator is not None:
-        values = np.asarray(f.vector_evaluator(zs), dtype=np.complex128)
-    else:
-        values = np.array([f(z) for z in zs.ravel()], dtype=np.complex128).reshape(
-            zs.shape
-        )
-    bad = ~np.isfinite(values) | (np.abs(values) > OVERFLOW_GUARD)
-    if np.any(bad):
-        idx = int(np.argmax(bad.ravel()))
-        raise PoleEncountered(
-            f"{f.label or 'function'}: pole at {zs.ravel()[idx]} in vector sweep"
-        )
-    return values
+    """``f`` over an array of points; raises PoleEncountered on any bad
+    value."""
+    return f(np.asarray(zs, dtype=np.complex128))
 
 
 def sup_deviation(f: AnalyticFn, g: AnalyticFn, grid: EvaluationGrid) -> float:
     """max over the grid of |f(z) - g(z)|; symmetric in ``f`` and ``g``."""
-    worst = 0.0
-    for z in grid:
-        worst = max(worst, abs(f(z) - g(z)))
-    return worst
+    zs = grid.as_array()
+    return float(np.max(np.abs(f(zs) - g(zs))))
 
 
 def max_modulus(f: AnalyticFn, grid: EvaluationGrid) -> float:
     """Largest |f(z)| over the grid (contractivity probe)."""
-    return max(abs(f(z)) for z in grid)
+    return float(np.max(np.abs(f(grid.as_array()))))
 
 
 def min_imag(f: AnalyticFn, grid: EvaluationGrid) -> float:
     """Smallest Im f(z) over the grid (Herglotz probe)."""
-    return min(f(z).imag for z in grid)
+    return float(np.min(f(grid.as_array()).imag))
 
 
 def constant_fn(value: complex, kind: FnKind = FnKind.GENERIC,
@@ -187,10 +198,9 @@ def constant_fn(value: complex, kind: FnKind = FnKind.GENERIC,
     """Constant probe function."""
     value = complex(value)
     return AnalyticFn(
-        evaluator=lambda z: value,
+        evaluator=lambda zs: np.full_like(zs, value),
         kind=kind,
         label=label or f"constant {value}",
-        vector_evaluator=lambda zs: np.full_like(zs, value, dtype=np.complex128),
     )
 
 

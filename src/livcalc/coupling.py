@@ -9,12 +9,15 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
+import numpy as np
+
 from .core import (
     AnalyticFn,
     EvaluationGrid,
     FnKind,
     ToleranceConfig,
     default_grid,
+    divide_off_pole,
     fmt_float,
     max_modulus,
     min_imag,
@@ -100,26 +103,14 @@ def couple_livsic(s1: AnalyticFn, s2: AnalyticFn, angles: CouplingAngles) -> Ana
             raise ValueError(f"couple_livsic expects Livsic-kind inputs, {name} is {s.kind}")
     cc, ss = angles.trig()
 
-    def evaluator(z: complex) -> complex:
-        v1, v2 = s1(z), s2(z)
-        den = 1.0 - (ss * v1 + cc * v2)
-        if abs(den) < 1e-14:
-            raise PoleEncountered(f"coupling denominator vanished at z = {z}")
-        return (cc * v1 - v1 * v2 + ss * v2) / den
-
-    vector = None
-    if s1.vector_evaluator is not None and s2.vector_evaluator is not None:
-        v1e, v2e = s1.vector_evaluator, s2.vector_evaluator
-
-        def vector(zs):
-            v1, v2 = v1e(zs), v2e(zs)
-            return (cc * v1 - v1 * v2 + ss * v2) / (1.0 - (ss * v1 + cc * v2))
+    def evaluator(zs):
+        v1, v2 = s1.evaluator(zs), s2.evaluator(zs)
+        return divide_off_pole(cc * v1 - v1 * v2 + ss * v2, 1.0 - (ss * v1 + cc * v2), 1e-14)
 
     return AnalyticFn(
         evaluator=evaluator,
         kind=FnKind.LIVSIC,
         label=f"couple[{s1.label} , {s2.label}]",
-        vector_evaluator=vector,
     )
 
 
@@ -146,17 +137,18 @@ def general_k_identity_defect(
     a1 = cc + k * ss
     a2 = ss + k * cc
     s = couple_livsic(s1, s2, angles)
-    worst = 0.0
-    for z in grid:
-        v, v1, v2 = s(z), s1(z), s2(z)
-        lhs_den = k * v - 1.0
-        rhs_den = a2 * v1 + a1 * v2 - k * v1 * v2 - 1.0
-        if abs(lhs_den) < 1e-14 or abs(rhs_den) < 1e-14:
-            raise PoleEncountered(f"identity denominator vanished at z = {z}")
-        lhs = (v - k) / lhs_den
-        rhs = (a1 * v1 + a2 * v2 - v1 * v2 - k) / rhs_den
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    zs = grid.as_array()
+    v, v1, v2 = s(zs), s1(zs), s2(zs)
+    lhs = divide_off_pole(v - k, k * v - 1.0, 1e-14)
+    rhs = divide_off_pole(
+        a1 * v1 + a2 * v2 - v1 * v2 - k, a2 * v1 + a1 * v2 - k * v1 * v2 - 1.0, 1e-14
+    )
+    defect = np.abs(lhs - rhs)
+    pole = np.isnan(defect)
+    if pole.any():
+        z = complex(zs[np.argmax(pole)])
+        raise PoleEncountered(f"identity denominator vanished at z = {z}")
+    return float(np.max(defect))
 
 
 def add_weyl(M1: AnalyticFn, M2: AnalyticFn, alpha: float) -> AnalyticFn:
@@ -170,17 +162,10 @@ def add_weyl(M1: AnalyticFn, M2: AnalyticFn, alpha: float) -> AnalyticFn:
     alpha = float(alpha)
     p = math.cos(alpha) ** 2
     q = math.sin(alpha) ** 2
-
-    vector = None
-    if M1.vector_evaluator is not None and M2.vector_evaluator is not None:
-        m1v, m2v = M1.vector_evaluator, M2.vector_evaluator
-        vector = lambda zs: p * m1v(zs) + q * m2v(zs)
-
     return AnalyticFn(
-        evaluator=lambda z: p * M1(z) + q * M2(z),
+        evaluator=lambda zs: p * M1.evaluator(zs) + q * M2.evaluator(zs),
         kind=FnKind.HERGLOTZ,
         label=f"add[{M1.label} , {M2.label}; alpha={alpha}]",
-        vector_evaluator=vector,
     )
 
 
@@ -214,17 +199,10 @@ def multiply_characteristic(
     the multiplicative law is exact by construction; tag consistency at i is
     automatic since (S1 S2)(i) = kappa1 kappa2."""
     f1, f2 = t1.fn, t2.fn
-
-    vector = None
-    if f1.vector_evaluator is not None and f2.vector_evaluator is not None:
-        v1, v2 = f1.vector_evaluator, f2.vector_evaluator
-        vector = lambda zs: v1(zs) * v2(zs)
-
     product = AnalyticFn(
-        evaluator=lambda z: f1(z) * f2(z),
+        evaluator=lambda zs: f1.evaluator(zs) * f2.evaluator(zs),
         kind=FnKind.CHARACTERISTIC,
         label=f"product[{f1.label} , {f2.label}]",
-        vector_evaluator=vector,
     )
     return TaggedCharacteristic(product, t1.kappa * t2.kappa)
 
@@ -336,12 +314,12 @@ def verify_class_properties(
 
     pairs = 0
     worst = 0.0
+    zs = grid.as_array()
+    livsic_values = [f(zs) for f in livsic]
     for i in range(len(livsic)):
         for j in range(i, len(livsic)):
             prod_at_i = livsic[i](1j) * livsic[j](1j)
-            contraction = max(
-                abs(livsic[i](z) * livsic[j](z)) for z in grid
-            )
+            contraction = float(np.max(np.abs(livsic_values[i] * livsic_values[j])))
             worst = max(worst, abs(prod_at_i), max(0.0, contraction - 1.0))
             pairs += 1
     results.append(

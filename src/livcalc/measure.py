@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .core import AnalyticFn, FnKind, ToleranceConfig, evaluate_many, fmt_float
-from .errors import EmptyMeasure, PoleEncountered, WindowTooSmall
+from .core import AnalyticFn, FnKind, ToleranceConfig, divide_off_pole, evaluate_many, fmt_float
+from .errors import EmptyMeasure, WindowTooSmall
 
 
 def _simpson_weights(n_samples: int, h: float) -> np.ndarray:
@@ -165,19 +165,12 @@ def realize_herglotz(mu: BorelMeasureModel) -> AnalyticFn:
         raise EmptyMeasure("measure has neither atoms nor density mass")
     locs, ws = mu.locations(), mu.weights()
     dx, dw = mu._density_arrays()
-
-    def vector_evaluator(zs: np.ndarray) -> np.ndarray:
-        return _kernels.herglotz_eval(locs, ws, dx, dw, zs)
-
     return AnalyticFn(
-        evaluator=lambda z: complex(
-            _kernels.herglotz_eval(locs, ws, dx, dw, np.array([z]))[0]
-        ),
+        evaluator=lambda zs: _kernels.herglotz_eval(locs, ws, dx, dw, zs),
         kind=FnKind.HERGLOTZ,
         label=f"measure[{len(mu.atoms)} atoms"
         + (", density" if mu.density is not None else "")
         + "]",
-        vector_evaluator=vector_evaluator,
     )
 
 
@@ -207,26 +200,15 @@ def livsic_from_weyl(M: AnalyticFn) -> AnalyticFn:
     if M.kind is not FnKind.HERGLOTZ:
         raise ValueError("livsic_from_weyl expects a Herglotz-kind function")
 
-    def evaluator(z: complex) -> complex:
-        w = M(z)
-        den = w + 1j
-        if abs(den) < 1e-14 * max(1.0, abs(w)):
-            raise PoleEncountered(f"M({z}) = -i is impossible for genuine Herglotz input")
-        return (w - 1j) / den
-
-    vector = None
-    if M.vector_evaluator is not None:
-        mvec = M.vector_evaluator
-
-        def vector(zs):
-            w = mvec(zs)
-            return (w - 1j) / (w + 1j)
+    def evaluator(zs):
+        # M(z) = -i is impossible for genuine Herglotz input
+        w = M.evaluator(zs)
+        return divide_off_pole(w - 1j, w + 1j, 1e-14 * np.maximum(1.0, np.abs(w)))
 
     return AnalyticFn(
         evaluator=evaluator,
         kind=FnKind.LIVSIC,
         label=f"cayley({M.label})" if M.label else "cayley(M)",
-        vector_evaluator=vector,
     )
 
 

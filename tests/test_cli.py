@@ -107,6 +107,13 @@ class TestModelVerb:
         code, _, _ = run_cli(capsys, "model", "--length", "1", "--eval", "0-1i")
         assert code == 2
 
+    def test_tiny_length_keeps_its_digits(self, capsys):
+        # e^{-ell} rounds to 1 here; s(2i) -> 1/3 as ell -> 0
+        code, out, _ = run_cli(capsys, "model", "--length", "1e-300", "--eval", "0+2i")
+        assert code == 0
+        s = json.loads(out)["s"]
+        assert abs(complex(float(s["re"]), float(s["im"])) - 1.0 / 3.0) < 1e-15
+
     def test_oracle_overflow_is_typed_error(self, capsys):
         # (Im z + 1) * ell = 1200: the oracle's integrand leaves the double range
         code, out, err = run_cli(
@@ -135,6 +142,14 @@ class TestCoupleVerb:
         )
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+    def test_unequal_kappas_pass(self, capsys):
+        # s1 and s2 have lengths 1 and 2, so a swap of them would not pass
+        code, out, _ = run_cli(capsys, "couple", "--kappa1", "0.3", "--kappa2", "0.7")
+        assert code == 0
+        report = json.loads(out)
+        assert report["pass"] is True
+        assert float(report["max_deviation"]) < 1e-10
 
     def test_degenerate_kappa2(self, capsys):
         code, out, _ = run_cli(capsys, "couple", "--kappa1", "0.5", "--kappa2", "0")

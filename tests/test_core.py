@@ -8,14 +8,27 @@ from hypothesis import strategies as st
 
 from livcalc import (
     AnalyticFn,
+    BorelMeasureModel,
     EvaluationGrid,
     FnKind,
     PoleEncountered,
+    SampledDensity,
+    TaggedCharacteristic,
     ToleranceConfig,
+    add_weyl,
+    characteristic_from_livsic,
     constant_fn,
+    couple_livsic,
+    coupling_angles,
     default_grid,
     evaluate_many,
     evaluate_on_grid,
+    livsic_from_weyl,
+    model_closed_forms,
+    multiply_characteristic,
+    realize_herglotz,
+    reference_change_livsic,
+    reference_change_weyl,
     require_upper,
     sup_deviation,
 )
@@ -25,7 +38,37 @@ GRID = default_grid()
 
 
 def exp_fn(scale: complex) -> AnalyticFn:
-    return AnalyticFn(lambda z: cmath.exp(scale * z), FnKind.GENERIC, f"exp({scale}z)")
+    return AnalyticFn(lambda zs: np.exp(scale * zs), FnKind.GENERIC, f"exp({scale}z)")
+
+
+def constructed_functions():
+    """One function from each public constructor, keyed by constructor."""
+    s_half = model_closed_forms(0.5).livsic
+    forms = model_closed_forms(1.0)
+    pair = realize_herglotz(BorelMeasureModel(((1.0, 1.0), (-1.0, 1.0))))
+    xs = np.linspace(-2.0, 2.0, 401)
+    with_density = realize_herglotz(
+        BorelMeasureModel(((0.5, 1.0),), SampledDensity(-2.0, 2.0, tuple(np.exp(-xs * xs))))
+    )
+    S1 = TaggedCharacteristic(characteristic_from_livsic(s_half, 0.5), 0.5)
+    S2 = TaggedCharacteristic(forms.characteristic, forms.kappa)
+    return {
+        "constant_fn": constant_fn(0.3 - 0.2j),
+        "model_closed_forms.livsic": forms.livsic,
+        "model_closed_forms.characteristic": forms.characteristic,
+        "realize_herglotz.atoms": pair,
+        "realize_herglotz.density": with_density,
+        "livsic_from_weyl": livsic_from_weyl(with_density),
+        "couple_livsic": couple_livsic(s_half, forms.livsic, coupling_angles(0.3, 0.7)),
+        "add_weyl": add_weyl(pair, with_density, 0.7),
+        "characteristic_from_livsic": S1.fn,
+        "multiply_characteristic": multiply_characteristic(S1, S2).fn,
+        "reference_change_livsic": reference_change_livsic(s_half, 0.4),
+        "reference_change_weyl": reference_change_weyl(with_density, 0.4),
+    }
+
+
+CONSTRUCTED = constructed_functions()
 
 
 class TestHalfPlaneValidation:
@@ -112,23 +155,13 @@ class TestEvaluateOnGrid:
 
 
 class TestEvaluateMany:
-    def test_matches_scalar_path(self):
-        f = exp_fn(2j)
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTED))
+    def test_point_call_is_bit_identical_to_array_call(self, name):
+        f = CONSTRUCTED[name]
         zs = GRID.as_array()
-        np.testing.assert_allclose(
-            evaluate_many(f, zs), np.array([f(z) for z in GRID]), rtol=0, atol=0
-        )
-
-    def test_vector_evaluator_used(self):
-        calls = []
-
-        def vec(zs):
-            calls.append(len(zs))
-            return np.zeros_like(zs)
-
-        f = AnalyticFn(lambda z: 0j, FnKind.GENERIC, vector_evaluator=vec)
-        evaluate_many(f, np.array([1j, 2j]))
-        assert calls == [2]
+        values = evaluate_many(f, zs)
+        for k, z in enumerate(GRID):
+            assert f(z) == values[k], (name, z)
 
     def test_rejects_lower_points(self):
         with pytest.raises(ValueError):
@@ -145,7 +178,7 @@ class TestSupDeviation:
 
     def test_exponent_additivity(self):
         f = exp_fn(2j)
-        g = AnalyticFn(lambda z: cmath.exp(1j * z) * cmath.exp(1j * z), FnKind.GENERIC)
+        g = AnalyticFn(lambda zs: np.exp(1j * zs) * np.exp(1j * zs), FnKind.GENERIC)
         assert sup_deviation(f, g, GRID) < 1e-15
 
     def test_pole_aborts(self):

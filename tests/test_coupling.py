@@ -11,6 +11,7 @@ from livcalc import (
     CouplingAngles,
     FnKind,
     OutOfRange,
+    PoleEncountered,
     TaggedCharacteristic,
     ToleranceConfig,
     add_weyl,
@@ -19,6 +20,7 @@ from livcalc import (
     couple_livsic,
     coupling_angles,
     default_grid,
+    evaluate_many,
     extract_kappa,
     general_k_identity_defect,
     max_modulus,
@@ -131,16 +133,17 @@ class TestCoupleLivsic:
         with pytest.raises(ValueError):
             couple_livsic(M_ORIGIN, S_ONE, coupling_angles(0.1, 0.1))
 
-    def test_vector_matches_scalar(self):
-        # np.exp and cmath.exp may differ in the last ulp
-        coupled = couple_livsic(S_HALF, S_ONE, coupling_angles(0.25, 0.5))
-        zs = GRID.as_array()
-        np.testing.assert_allclose(
-            coupled.vector_evaluator(zs),
-            np.array([coupled(z) for z in GRID]),
-            rtol=0,
-            atol=1e-13,
+    def test_point_and_array_calls_agree_on_poles(self):
+        # the denominator 1 - s2(i) = 5e-15 is below the 1e-14 pole threshold
+        coupled = couple_livsic(
+            constant_fn(0.5, FnKind.LIVSIC),
+            constant_fn(1 - 5e-15, FnKind.LIVSIC),
+            CouplingAngles(0.0, 0.0),
         )
+        with pytest.raises(PoleEncountered):
+            coupled(1j)
+        with pytest.raises(PoleEncountered):
+            evaluate_many(coupled, [1j])
 
 
 class TestGeneralKIdentity:

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -34,18 +30,6 @@ class TestHerglotzEval:
         )
         np.testing.assert_array_equal(got, np.zeros(2, dtype=np.complex128))
 
-    @pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba unavailable")
-    def test_backends_agree(self):
-        locs, weights, dens_x, dens_w, zs = random_measure_inputs(seed=3)
-        nb_herglotz, _ = _kernels.backends()["numba"]
-        np_herglotz, _ = _kernels.backends()["numpy"]
-        np.testing.assert_allclose(
-            nb_herglotz(locs, weights, dens_x, dens_w, zs),
-            np_herglotz(locs, weights, dens_x, dens_w, zs),
-            rtol=1e-14,
-            atol=1e-14,
-        )
-
 
 class TestSimpsonExp:
     def test_against_closed_antiderivative(self):
@@ -58,38 +42,3 @@ class TestSimpsonExp:
         with pytest.raises(ValueError):
             _kernels.simpson_exp(1.0, 1.0, 7)
 
-    @pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba unavailable")
-    def test_backends_agree(self):
-        a = complex(0.5, -3.0)
-        _, nb_simpson = _kernels.backends()["numba"]
-        _, np_simpson = _kernels.backends()["numpy"]
-        assert abs(nb_simpson(a, 2.0, 512) - np_simpson(a, 2.0, 512)) < 1e-13
-
-
-class TestBackendSelection:
-    def test_env_flag_forces_numpy_path(self):
-        code = (
-            "from livcalc import _kernels; "
-            "print(_kernels.USING_NUMBA, _kernels._herglotz_impl is _kernels._np_herglotz_eval)"
-        )
-        env = dict(os.environ, LIVCALC_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False True"
-
-    def test_numpy_fallback_produces_same_oracle_value(self):
-        code = (
-            "from livcalc import model_livsic_quadrature; "
-            "print(repr(model_livsic_quadrature(1.0, 2j)))"
-        )
-        env = dict(os.environ, LIVCALC_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        value = complex(out.stdout.strip().strip("()"))
-        from livcalc import model_livsic_quadrature
-
-        assert abs(value - model_livsic_quadrature(1.0, 2j)) < 1e-12
