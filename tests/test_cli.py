@@ -114,6 +114,13 @@ class TestModelVerb:
         s = json.loads(out)["s"]
         assert abs(complex(float(s["re"]), float(s["im"])) - 1.0 / 3.0) < 1e-15
 
+    def test_oracle_at_large_real_part(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "model", "--length", "1", "--eval", "10000+1i", "--oracle"
+        )
+        assert code == 0
+        assert float(json.loads(out)["oracle_deviation"]) < 1e-8
+
     def test_oracle_overflow_is_typed_error(self, capsys):
         # (Im z + 1) * ell = 1200: the oracle's integrand leaves the double range
         code, out, err = run_cli(
@@ -298,6 +305,17 @@ class TestColdStart:
         done = run_cold("-c", script)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip().splitlines()[-1] == "[] 0"
+
+    def test_cli_import_loads_neither_scipy_nor_numpy_polynomial(self):
+        script = (
+            "import sys\n"
+            "import livcalc.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))\n"
+        )
+        done = run_cold("-c", script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_cold_inversion_recovers_both_atoms(self):
         done = run_cold("-m", "livcalc.cli", "measure", "--atoms=1:1,-1:1", "--invert")

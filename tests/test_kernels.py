@@ -31,6 +31,16 @@ class TestHerglotzEval:
         np.testing.assert_array_equal(got, np.zeros(2, dtype=np.complex128))
 
 
+class TestGaussExp:
+    def test_against_closed_antiderivative(self):
+        t, w = np.polynomial.legendre.leggauss(16)
+        nodes, weights = (t + 1.0) / 2.0, (w / 2.0)[:, None]
+        b = np.array([-1j * (2 + 2j) + 1.0, 0.5 - 1.5j])
+        got = _kernels.gauss_exp(b, nodes, weights)
+        assert got.shape == (2, 1)
+        np.testing.assert_allclose(got[:, 0], np.expm1(b) / b, rtol=1e-14)
+
+
 class TestSimpsonExp:
     def test_against_closed_antiderivative(self):
         a = -1j * (2 + 2j) + 1.0

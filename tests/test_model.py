@@ -1,5 +1,8 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from scipy.integrate import quad
@@ -18,6 +21,7 @@ from livcalc import (
     split_interval_check,
     sup_deviation,
 )
+from livcalc import oracle
 
 GRID = default_grid()
 CFG = ToleranceConfig()
@@ -123,6 +127,44 @@ class TestQuadratureOracle:
             abs(model_livsic_quadrature(ell, z, CFG) - closed(z)) for z in GRID
         )
         assert worst < CFG.quadrature_tol
+
+    @pytest.mark.parametrize("ell", [0.5, 1.0, 2.0])
+    def test_agreement_on_grid_to_roundoff(self, ell):
+        closed = model_closed_forms(ell).livsic
+        worst = max(
+            abs(model_livsic_quadrature(ell, z, CFG) - closed(z)) for z in GRID
+        )
+        assert worst < 1e-12
+
+    def test_large_real_part(self):
+        # the integrands turn through 1e4 radians on [0, 1]: about 5000 panels
+        z = 1e4 + 1j
+        closed = model_closed_forms(1.0).livsic
+        assert abs(model_livsic_quadrature(1.0, z, CFG) - closed(z)) < CFG.quadrature_tol
+
+    def test_bit_identical_across_calls_and_processes(self):
+        points = (2j, 3.0 + 1.5j, -4.5 + 0.1j, 1e4 + 1j)
+
+        def bits(values):
+            return [(v.real.hex(), v.imag.hex()) for v in values]
+
+        oracle._panel_rule.cache_clear()
+        first = bits(model_livsic_quadrature(1.0, z) for z in points)
+        repeat = bits(model_livsic_quadrature(1.0, z) for z in points)
+        assert oracle._panel_rule.cache_info().hits >= len(points)
+        script = (
+            "from livcalc import model_livsic_quadrature as q\n"
+            f"print([(v.real.hex(), v.imag.hex()) for v in (q(1.0, z) for z in {points!r})])\n"
+        )
+        src = os.path.dirname(os.path.dirname(oracle.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        fresh = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert fresh.returncode == 0, fresh.stderr
+        assert first == repeat
+        assert fresh.stdout.strip() == repr(first)
 
     def test_budget_exhaustion(self):
         # an enormous frequency needs far more panels than the 2^16 budget
