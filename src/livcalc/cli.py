@@ -17,9 +17,7 @@ from typing import Optional
 
 from . import verify as verify_mod
 from .core import (
-    AnalyticFn,
     EvaluationGrid,
-    FnKind,
     complex_to_json,
     constant_fn,
     default_grid,
@@ -27,18 +25,10 @@ from .core import (
     fmt_float,
     grid_from_json,
     min_imag,
-    sup_deviation,
 )
-from .coupling import (
-    TaggedCharacteristic,
-    add_weyl,
-    couple_livsic,
-    coupling_angles,
-    general_k_identity_defect,
-    multiply_characteristic,
-)
+from .coupling import TaggedCharacteristic, add_weyl, multiply_characteristic
 from .errors import LivcalcError, PoleEncountered
-from .extension import ClassVerdict, characteristic_from_livsic, class_C_check
+from .extension import ClassVerdict, cayley_probe, characteristic_from_livsic, class_C_check
 from .measure import (
     BorelMeasureModel,
     normalization_defect,
@@ -144,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_model.add_argument("--grid", type=str, help="'default' or file:<path> for a sweep")
     p_model.add_argument("--oracle", action="store_true",
                          help="cross-check s against the quadrature oracle")
-    p_model.add_argument("--format", choices=("json", "csv"), default="json")
+    p_model.add_argument("--format", choices=("json", "csv"), default="json",
+                         help="output of a --grid sweep; --eval prints JSON")
 
     p_couple = sub.add_parser("couple", help="couple two interval models and verify")
     p_couple.add_argument("--kappa1", type=float, required=True)
@@ -154,19 +145,16 @@ def build_parser() -> argparse.ArgumentParser:
                                "second has length 2 ell")
     p_couple.add_argument("--grid", type=str, default="default")
     p_couple.add_argument("--check", choices=("nunu", "formula1"), default="nunu")
-    p_couple.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_mult = sub.add_parser("multiply", help="multiply tagged characteristic functions")
     p_mult.add_argument("--kappa1", type=float, required=True)
     p_mult.add_argument("--kappa2", type=float, required=True)
     p_mult.add_argument("--length", type=float, default=1.0)
-    p_mult.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_add = sub.add_parser("add", help="convex combination of the two reference "
                                        "half-plane models")
     p_add.add_argument("--alpha", type=float, required=True)
     p_add.add_argument("--grid", type=str, default="default")
-    p_add.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_meas = sub.add_parser("measure", help="realize a measure model; optionally "
                                             "check normalization or invert")
@@ -176,17 +164,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_meas.add_argument("--invert", action="store_true")
     p_meas.add_argument("--window", type=parse_window, default=(-2.0, 2.0))
     p_meas.add_argument("--eps", type=parse_eps, default=(1e-2, 1e-3, 1e-4))
-    p_meas.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_class = sub.add_parser("check-class", help="membership heuristic for the "
                                                  "vanishing-at-i class")
     p_class.add_argument("--length", type=float, help="probe the interval model s")
     p_class.add_argument("--probe", type=str,
                          help="'cayley' or 'const:<a+bi>' counterexample probes")
-    p_class.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p_all = sub.add_parser("verify-all", help="run every module invariant suite")
-    p_all.add_argument("--format", choices=("json", "csv"), default="json")
+    sub.add_parser("verify-all", help="run every module invariant suite")
 
     return parser
 
@@ -198,6 +183,8 @@ def cmd_model(args) -> int:
     if args.eval is not None and args.grid is not None:
         raise UsageError("--eval and --grid are mutually exclusive")
     if args.eval is not None:
+        if args.format == "csv":
+            raise UsageError("--format csv applies to --grid sweeps; --eval prints JSON")
         z = args.eval
         if z.imag <= 0:
             raise UsageError(f"evaluation point {z} must lie in the upper half-plane")
@@ -242,18 +229,12 @@ def cmd_couple(args) -> int:
     # two different lengths, so that swapping s1 and s2 breaks the law
     s1 = model_closed_forms(args.length).livsic
     s2 = model_closed_forms(2.0 * args.length).livsic
-    angles = coupling_angles(args.kappa1, args.kappa2)
+    pair = (args.kappa1, args.kappa2)
     if args.check == "nunu":
-        coupled = couple_livsic(s1, s2, angles)
-        k = args.kappa1 * args.kappa2
-        left = characteristic_from_livsic(coupled, k)
-        t1 = TaggedCharacteristic(characteristic_from_livsic(s1, args.kappa1), args.kappa1)
-        t2 = TaggedCharacteristic(characteristic_from_livsic(s2, args.kappa2), args.kappa2)
-        deviation = sup_deviation(left, multiply_characteristic(t1, t2).fn, grid)
+        deviation, _ = verify_mod.multiplication_chain_defects(s1, s2, [pair], grid)
     else:
-        deviation = max(
-            general_k_identity_defect(k, s1, s2, angles, grid) for k in _FORMULA1_KS
-        )
+        sweep = [pair + (k,) for k in _FORMULA1_KS]
+        deviation = verify_mod.general_k_defect(s1, s2, sweep, grid)
     passed = deviation < _COUPLE_TOL
     emit_json(
         {
@@ -344,7 +325,7 @@ def cmd_check_class(args) -> int:
     if args.length is not None:
         fn = model_closed_forms(args.length).livsic
     elif args.probe == "cayley":
-        fn = AnalyticFn(lambda z: (z - 1j) / (z + 1j), FnKind.GENERIC, "cayley-probe")
+        fn = cayley_probe()
     elif args.probe.startswith("const:"):
         fn = constant_fn(parse_complex(args.probe[len("const:"):]))
     else:

@@ -102,29 +102,35 @@ def divide_off_pole(num, den, floor):
         return np.where(np.abs(den) < floor, np.nan, num / den)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvaluationGrid:
-    """An ordered, duplicate-free set of probe points in the upper half-plane."""
+    """An ordered, duplicate-free set of probe points in the upper half-plane,
+    held as one read-only complex ndarray."""
 
-    points: tuple
+    points: np.ndarray
     description: str = ""
 
     def __post_init__(self):
-        if len(self.points) == 0:
+        pts = np.array(self.points, dtype=np.complex128).reshape(-1)
+        if pts.size == 0:
             raise ValueError("grid must be nonempty")
-        pts = tuple(require_upper(z) for z in self.points)
-        if len(set(pts)) != len(pts):
+        outside = ~(pts.imag > 0.0) | ~np.isfinite(pts)
+        if outside.any():
+            require_upper(pts[np.argmax(outside)])
+        if np.unique(pts).size != pts.size:
             raise ValueError("grid points must be pairwise distinct")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.points.size
 
     def __iter__(self):
-        return iter(self.points)
+        """The points as Python complexes, in grid order."""
+        return iter(self.points.tolist())
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=np.complex128)
+        return self.points
 
 
 @dataclass(frozen=True)
@@ -153,9 +159,8 @@ def default_grid() -> EvaluationGrid:
     """
     res = np.linspace(-5.0, 5.0, 21)
     ims = np.linspace(0.1, 5.0, 21)
-    points = [complex(re, im) for re in res for im in ims]
-    points.append(1j)
-    return EvaluationGrid(tuple(points), "default 21x21 lattice + i")
+    lattice = (res[:, None] + 1j * ims).ravel()
+    return EvaluationGrid(np.append(lattice, 1j), "default 21x21 lattice + i")
 
 
 def evaluate_on_grid(f: AnalyticFn, grid: EvaluationGrid) -> list:
@@ -230,5 +235,5 @@ def grid_to_json(grid: EvaluationGrid) -> dict:
 
 
 def grid_from_json(obj: dict) -> EvaluationGrid:
-    points = tuple(complex_from_json(p) for p in obj["points"])
+    points = [complex_from_json(p) for p in obj["points"]]
     return EvaluationGrid(points, obj.get("description", ""))

@@ -18,7 +18,6 @@ from .core import (
     ToleranceConfig,
     default_grid,
     divide_off_pole,
-    fmt_float,
     max_modulus,
     min_imag,
 )
@@ -219,31 +218,14 @@ class PropertyResult:
         object.__setattr__(self, "worst_deviation", float(self.worst_deviation))
         object.__setattr__(self, "passed", bool(self.passed))
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "pairs_checked": self.pairs_checked,
-            "worst_deviation": fmt_float(self.worst_deviation),
-            "tolerance": fmt_float(self.tolerance),
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
 class ClassPropertiesReport:
     results: tuple
-    grid_description: str = ""
 
     @property
     def all_passed(self) -> bool:
         return all(r.passed for r in self.results)
-
-    def to_json(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "grid": self.grid_description,
-            "properties": [r.to_json() for r in self.results],
-        }
 
 
 _CONVEXITY_ANGLES = (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
@@ -326,4 +308,4 @@ def verify_class_properties(
         PropertyResult("livsic-multiplication", pairs, worst, tol, worst < tol)
     )
 
-    return ClassPropertiesReport(tuple(results), grid.description)
+    return ClassPropertiesReport(tuple(results))

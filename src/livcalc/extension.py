@@ -95,6 +95,12 @@ def reference_change_weyl(M: AnalyticFn, alpha: float) -> AnalyticFn:
     )
 
 
+def cayley_probe() -> AnalyticFn:
+    """(z - i)/(z + i): contractive and zero at i, but bounded along every
+    ray, so the growth condition of the class fails."""
+    return AnalyticFn(lambda zs: (zs - 1j) / (zs + 1j), FnKind.GENERIC, "cayley-probe")
+
+
 class ClassVerdict(enum.Enum):
     CONSISTENT_WITH_C = "ConsistentWithC"
     FAILS_AT_I = "FailsAtI"

@@ -158,8 +158,7 @@ def realize_herglotz(mu: BorelMeasureModel) -> AnalyticFn:
     Atoms contribute the kernel sum directly; the density contributes the
     same kernel integrated by composite Simpson on its stored lattice (the
     kernel is smooth at the probe heights used here, so fixed-order
-    quadrature at the stored resolution is adequate; see
-    :func:`density_quadrature_error_estimate`).
+    quadrature at the stored resolution is adequate).
     """
     if len(mu.atoms) == 0 and (mu.density is None or mu.density.mass() == 0.0):
         raise EmptyMeasure("measure has neither atoms nor density mass")
@@ -172,22 +171,6 @@ def realize_herglotz(mu: BorelMeasureModel) -> AnalyticFn:
         + (", density" if mu.density is not None else "")
         + "]",
     )
-
-
-def density_quadrature_error_estimate(mu: BorelMeasureModel, z: complex) -> float:
-    """|Simpson at stored spacing - Simpson at doubled spacing| of the density
-    kernel integral at ``z``: a Richardson-style resolution check."""
-    if mu.density is None:
-        return 0.0
-    dx, dw = mu._density_arrays()
-    fine = _kernels.herglotz_eval(np.empty(0), np.empty(0), dx, dw, np.array([z]))[0]
-    coarse_x = dx[::2]
-    coarse_vals = np.asarray(mu.density.values)[::2]
-    coarse_w = _simpson_weights(len(coarse_x), 2.0 * mu.density.h) * coarse_vals
-    coarse = _kernels.herglotz_eval(
-        np.empty(0), np.empty(0), coarse_x, coarse_w, np.array([z])
-    )[0]
-    return abs(fine - coarse)
 
 
 def normalization_defect(mu: BorelMeasureModel) -> float:

@@ -15,8 +15,7 @@ DET_THRESHOLD = 1e-14
 class MoebiusMap:
     """z -> (a z + b) / (c z + d) with ad - bc != 0.
 
-    Coefficients are stored raw; normalization happens only inside equality
-    tests, so compositions do not drift.
+    Coefficients are stored raw, so compositions do not drift.
     """
 
     a: complex
@@ -78,22 +77,3 @@ class MoebiusMap:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def __matmul__(self, other: "MoebiusMap") -> "MoebiusMap":
-        return self.compose(other)
-
-    def inverse(self) -> "MoebiusMap":
-        return MoebiusMap(self.d, -self.b, -self.c, self.a)
-
-    def normalized(self) -> "MoebiusMap":
-        """Scale so the largest-magnitude coefficient becomes exactly 1."""
-        entries = (self.a, self.b, self.c, self.d)
-        pivot = max(entries, key=abs)
-        return MoebiusMap(*(e / pivot for e in entries))
-
-    def approx_equal(self, other: "MoebiusMap", tol: float = 1e-12) -> bool:
-        """Equality as maps: coefficient matrices proportional within tol."""
-        m1, m2 = self.normalized(), other.normalized()
-        return max(
-            abs(m1.a - m2.a), abs(m1.b - m2.b), abs(m1.c - m2.c), abs(m1.d - m2.d)
-        ) <= tol

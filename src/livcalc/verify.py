@@ -3,52 +3,39 @@
 Each check compares a worst-case deviation against its pinned tolerance.
 The CLI exposes the whole battery as ``livcalc verify-all``; the acceptance
 tests drive the same checks with their own sweeps on top.
+
+An identity with more than one caller is written once, below the battery
+helpers, as a function of its sweep that returns its worst deviation(s):
+the suites call it with the battery's sweeps, ``tests/test_acceptance.py``
+with larger ones, and ``livcalc couple`` with the pair it is given.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from . import model as model_mod
 from . import oracle as oracle_mod
 from .core import (
-    AnalyticFn,
-    FnKind,
-    ToleranceConfig,
-    constant_fn,
-    default_grid,
-    fmt_float,
-    max_modulus,
-    min_imag,
-    sup_deviation,
+    AnalyticFn, EvaluationGrid, FnKind, ToleranceConfig, constant_fn, default_grid, fmt_float,
+    max_modulus, min_imag, sup_deviation,
 )
 from .coupling import (
-    CouplingAngles,
-    TaggedCharacteristic,
-    add_weyl,
-    couple_livsic,
-    coupling_angles,
-    general_k_identity_defect,
-    multiply_characteristic,
-    verify_class_properties,
+    CouplingAngles, TaggedCharacteristic, add_weyl, couple_livsic, coupling_angles,
+    general_k_identity_defect, multiply_characteristic, verify_class_properties,
 )
+from .errors import LivcalcError
 from .extension import (
-    ClassVerdict,
-    characteristic_from_livsic,
-    class_C_check,
-    extract_kappa,
-    reference_change_livsic,
-    reference_change_weyl,
+    ClassVerdict, cayley_probe, characteristic_from_livsic, class_C_check, extract_kappa,
+    reference_change_livsic, reference_change_weyl,
 )
 from .measure import (
-    BorelMeasureModel,
-    livsic_from_weyl,
-    normalization_defect,
-    realize_herglotz,
+    BorelMeasureModel, livsic_from_weyl, normalization_defect, realize_herglotz,
     stieltjes_invert,
 )
 from .moebius import MoebiusMap
@@ -75,6 +62,22 @@ class CheckResult:
             "tolerance": fmt_float(self.tol),
             "passed": self.passed,
         }
+
+
+def run_checks(checks: Iterable[Tuple[str, float, Callable[[], float]]]) -> List[CheckResult]:
+    """Each (name, tolerance, worst-deviation function) check, in order.
+
+    A LivcalcError or ValueError raised inside a check, such as a broken
+    parameter tag, is that check's failure (worst deviation inf), not an
+    error of the battery."""
+    results = []
+    for name, tol, compute in checks:
+        try:
+            worst = compute()
+        except (LivcalcError, ValueError):
+            worst = math.inf
+        results.append(CheckResult(name, worst, tol))
+    return results
 
 
 def atom_measure(*atoms) -> BorelMeasureModel:
@@ -117,224 +120,295 @@ def bundled_corpus() -> List[AnalyticFn]:
     ]
 
 
+# --- identities, each a function of its sweep ----------------------------------
+
+
+def multiplication_chain_defects(
+    s1: AnalyticFn, s2: AnalyticFn, kappa_pairs: Iterable[Tuple[float, float]],
+    grid: EvaluationGrid, cfg: ToleranceConfig = ToleranceConfig(),
+) -> Tuple[float, float]:
+    """The multiplication theorem over the (kappa1, kappa2) pairs: the worst
+    sup deviation of the characteristic function of the coupling at
+    kappa1 kappa2 from the product of those of s1 at kappa1 and s2 at
+    kappa2, and the worst |product(i) - kappa1 kappa2|."""
+    worst_chain = worst_kappa = 0.0
+    for k1, k2 in kappa_pairs:
+        coupled = couple_livsic(s1, s2, coupling_angles(k1, k2, cfg))
+        left = characteristic_from_livsic(coupled, k1 * k2)
+        right = multiply_characteristic(
+            TaggedCharacteristic(characteristic_from_livsic(s1, k1), k1),
+            TaggedCharacteristic(characteristic_from_livsic(s2, k2), k2),
+        )
+        worst_chain = max(worst_chain, sup_deviation(left, right.fn, grid))
+        worst_kappa = max(worst_kappa, abs(right.fn(1j) - k1 * k2))
+    return worst_chain, worst_kappa
+
+
+def general_k_defect(
+    s1: AnalyticFn, s2: AnalyticFn, sweep: Iterable[Tuple[float, float, float]],
+    grid: EvaluationGrid, cfg: ToleranceConfig = ToleranceConfig(),
+) -> float:
+    """Worst general-k coupling identity defect over the (kappa1, kappa2, k)
+    triples."""
+    return max(
+        general_k_identity_defect(k, s1, s2, coupling_angles(k1, k2, cfg), grid)
+        for k1, k2, k in sweep
+    )
+
+
+def addition_normalization_defect(M1: AnalyticFn, M2: AnalyticFn, alphas) -> float:
+    """Worst |M(i) - i| of the sums cos^2(alpha) M1 + sin^2(alpha) M2."""
+    return max(abs(add_weyl(M1, M2, alpha)(1j) - 1j) for alpha in alphas)
+
+
+def interval_split_defect(splits: Iterable[Tuple[float, float]], grid: EvaluationGrid) -> float:
+    """Worst defect, values or parameter tag, over the (ell, fraction) splits."""
+    return max(model_mod.split_interval_check(ell, gamma, grid) for ell, gamma in splits)
+
+
+def oracle_deviation(
+    ells: Iterable[float], grid: EvaluationGrid, cfg: ToleranceConfig = ToleranceConfig()
+) -> float:
+    """Worst |quadrature oracle - closed form s| over the lengths and grid."""
+    worst = 0.0
+    for ell in ells:
+        closed = model_mod.model_closed_forms(ell).livsic(grid.as_array())
+        # the oracle stays pointwise: it is the independent reference
+        oracle = np.array([oracle_mod.model_livsic_quadrature(ell, z, cfg) for z in grid])
+        worst = max(worst, float(np.max(np.abs(oracle - closed))))
+    return worst
+
+
+def boundary_relation_defect(ells: Iterable[float]) -> float:
+    """Worst defect of g_+(0) = e^{-ell} g_-(0) and
+    g_+(0) - g_-(0) = g_-(ell) - g_+(ell) over the lengths."""
+    worst = 0.0
+    for ell in ells:
+        gp, gm = model_mod.g_plus(ell), model_mod.g_minus(ell)
+        worst = max(
+            worst,
+            abs(gp(0.0) - math.exp(-ell) * gm(0.0)),
+            abs((gp(0.0) - gm(0.0)) + (gp(ell) - gm(ell))),
+        )
+    return worst
+
+
+def disk_involution_defect(pairs: Iterable[Tuple[complex, complex]]) -> float:
+    """Worst |T(T(w)) - w| of the disk automorphism T at kappa over the
+    (kappa, w) pairs."""
+    worst = 0.0
+    for kappa, w in pairs:
+        T = MoebiusMap.disk_automorphism(kappa)
+        worst = max(worst, abs(T(T(w)) - w))
+    return worst
+
+
+def cayley_round_trip_defect(zs: Iterable[complex]) -> float:
+    """Worst |K^{-1}(K(z)) - z| of the Cayley transform K over the points."""
+    K, Kinv = MoebiusMap.cayley(), MoebiusMap.inverse_cayley()
+    return max(abs(Kinv(K(z)) - z) for z in zs)
+
+
+def reference_rotation_defect(s: AnalyticFn, M: AnalyticFn, alphas, zs: np.ndarray) -> float:
+    """The reference-change laws over the rotation angles: |s| unchanged
+    at the points ``zs``, and the Herglotz value i at i kept."""
+    modulus = np.abs(s(zs))
+    worst = 0.0
+    for alpha in alphas:
+        rotated = np.abs(reference_change_livsic(s, alpha)(zs))
+        worst = max(
+            worst,
+            float(np.max(np.abs(rotated - modulus))),
+            abs(reference_change_weyl(M, alpha)(1j) - 1j),
+        )
+    return worst
+
+
+def measure_round_trip_defects(
+    measures: Iterable[BorelMeasureModel], cfg: ToleranceConfig = ToleranceConfig()
+) -> Tuple[float, float]:
+    """Stieltjes inversion of each measure over [-2, 2] at eps 1e-2, 1e-3,
+    1e-4: the worst relative weight error and location error (in scan
+    spacings) of the atoms, both inf when an atom count is wrong."""
+    worst_weight = worst_location = 0.0
+    for mu in measures:
+        result = stieltjes_invert(realize_herglotz(mu), (-2.0, 2.0), (1e-2, 1e-3, 1e-4), cfg)
+        if len(result.atoms) != len(mu.atoms):
+            return math.inf, math.inf
+        for atom, (loc, weight) in zip(result.atoms, sorted(mu.atoms)):
+            worst_weight = max(worst_weight, abs(atom.weight - weight) / weight)
+            worst_location = max(worst_location, abs(atom.location - loc) / result.scan_spacing)
+    return worst_weight, worst_location
+
+
+# --- the suites ----------------------------------------------------------------
+
+
 def core_checks(cfg: ToleranceConfig = ToleranceConfig()) -> List[CheckResult]:
     grid = default_grid()
     f = model_mod.model_closed_forms(1.0).livsic
     g = constant_fn(0.25 + 0.1j)
     h = constant_fn(-0.3 + 0.4j)
-    out = [
-        CheckResult("self-deviation-zero", sup_deviation(f, f, grid), 1e-15),
-        CheckResult(
-            "deviation-symmetry",
-            abs(sup_deviation(f, g, grid) - sup_deviation(g, f, grid)),
-            1e-15,
-        ),
-        CheckResult(
-            "deviation-triangle",
-            max(
-                0.0,
-                sup_deviation(f, h, grid)
-                - (sup_deviation(f, g, grid) + sup_deviation(g, h, grid)),
-            ),
-            1e-15,
-        ),
-    ]
-    worst = 0.0
-    for ell in (0.5, 1.0, 2.0):
-        forms = model_mod.model_closed_forms(ell)
-        worst = max(worst, max_modulus(forms.livsic, grid) - 1.0)
-        worst = max(worst, max_modulus(forms.characteristic, grid) - 1.0)
-    out.append(CheckResult("livsic-kind-contractive", worst, cfg.identity_tol))
-    return out
+
+    def dev(u, v):
+        return sup_deviation(u, v, grid)
+
+    def contractive():
+        worst = 0.0
+        for ell in (0.5, 1.0, 2.0):
+            forms = model_mod.model_closed_forms(ell)
+            worst = max(worst, max_modulus(forms.livsic, grid) - 1.0,
+                        max_modulus(forms.characteristic, grid) - 1.0)
+        return worst
+
+    return run_checks([
+        ("self-deviation-zero", 1e-15, lambda: dev(f, f)),
+        ("deviation-symmetry", 1e-15, lambda: abs(dev(f, g) - dev(g, f))),
+        ("deviation-triangle", 1e-15, lambda: max(0.0, dev(f, h) - (dev(f, g) + dev(g, h)))),
+        ("livsic-kind-contractive", cfg.identity_tol, contractive),
+    ])
 
 
 def moebius_checks(cfg: ToleranceConfig = ToleranceConfig()) -> List[CheckResult]:
     grid = default_grid()
     K = MoebiusMap.cayley()
-    Kinv = MoebiusMap.inverse_cayley()
-    out = [
-        CheckResult(
-            "cayley-contracts-halfplane", max(abs(K(z)) for z in grid) - 1.0, 1e-12
-        ),
-        CheckResult(
-            "cayley-round-trip", max(abs(Kinv(K(z)) - z) for z in grid), 1e-12
-        ),
-    ]
-    worst = 0.0
     rng = np.random.default_rng(7)
+    pairs = []
     for _ in range(200):
         kappa = 0.95 * rng.uniform(0, 1) * np.exp(2j * math.pi * rng.uniform(0, 1))
         w = 0.95 * rng.uniform(0, 1) * np.exp(2j * math.pi * rng.uniform(0, 1))
-        T = MoebiusMap.disk_automorphism(kappa)
-        worst = max(worst, abs(T(T(w)) - w))
-    out.append(CheckResult("disk-automorphism-involution", worst, 1e-12))
-    worst = 0.0
-    for alpha in np.linspace(0.0, math.pi, 16, endpoint=False):
-        worst = max(worst, abs(MoebiusMap.halfplane_rotation(alpha)(1j) - 1j))
-    out.append(CheckResult("rotation-fixes-i", worst, 1e-15))
-    return out
+        pairs.append((kappa, w))
+    alphas = np.linspace(0.0, math.pi, 16, endpoint=False)
+    return run_checks([
+        ("cayley-contracts-halfplane", 1e-12, lambda: max(abs(K(z)) for z in grid) - 1.0),
+        ("cayley-round-trip", 1e-12, lambda: cayley_round_trip_defect(grid)),
+        ("disk-automorphism-involution", 1e-12, lambda: disk_involution_defect(pairs)),
+        ("rotation-fixes-i", 1e-15,
+         lambda: max(abs(MoebiusMap.halfplane_rotation(a)(1j) - 1j) for a in alphas)),
+    ])
 
 
 def measure_checks(cfg: ToleranceConfig = ToleranceConfig()) -> List[CheckResult]:
     grid = default_grid()
     m_origin, m_pair = reference_measures()
-    out = []
-    worst = 0.0
-    for mu in (m_origin, m_pair, atom_measure((1.0, 2.0))):
-        M = realize_herglotz(mu)
-        worst = max(worst, abs(normalization_defect(mu) - abs(M(1j) - 1j)))
-    out.append(CheckResult("normalization-equals-value-at-i", worst, 1e-13))
-    worst = 0.0
-    for mu in (m_origin, m_pair):
-        M = realize_herglotz(mu)
-        worst = max(worst, -min_imag(M, grid))
-        worst = max(worst, max_modulus(livsic_from_weyl(M), grid) - 1.0)
-    out.append(CheckResult("herglotz-range-and-cayley-contraction", worst, 1e-12))
-    inversion = stieltjes_invert(
-        realize_herglotz(m_pair), (-2.0, 2.0), (1e-2, 1e-3, 1e-4)
-    )
-    worst = 0.0
-    for atom, expected_loc in zip(inversion.atoms, (-1.0, 1.0)):
-        worst = max(
-            worst,
-            abs(atom.location - expected_loc) / inversion.scan_spacing,
-            abs(atom.weight - 1.0) / cfg.inversion_rel_tol,
-        )
-    if len(inversion.atoms) != 2:
-        worst = math.inf
-    out.append(CheckResult("two-atom-round-trip(scaled)", worst, 1.0))
-    return out
+
+    def range_and_contraction():
+        worst = 0.0
+        for mu in (m_origin, m_pair):
+            M = realize_herglotz(mu)
+            worst = max(worst, -min_imag(M, grid), max_modulus(livsic_from_weyl(M), grid) - 1.0)
+        return worst
+
+    def round_trip():
+        weight, location = measure_round_trip_defects([m_pair], cfg)
+        return max(location, weight / cfg.inversion_rel_tol)
+
+    return run_checks([
+        ("normalization-equals-value-at-i", 1e-13,
+         lambda: max(abs(normalization_defect(mu) - abs(realize_herglotz(mu)(1j) - 1j))
+                     for mu in (m_origin, m_pair, atom_measure((1.0, 2.0))))),
+        ("herglotz-range-and-cayley-contraction", 1e-12, range_and_contraction),
+        ("two-atom-round-trip(scaled)", 1.0, round_trip),
+    ])
 
 
 def extension_checks(cfg: ToleranceConfig = ToleranceConfig()) -> List[CheckResult]:
     grid = default_grid()
     s = model_mod.model_closed_forms(1.0).livsic
-    out = []
-    worst = 0.0
-    for kappa in (0.25, 0.5 + 0.3j, 0.9, -0.6j):
-        twice = characteristic_from_livsic(characteristic_from_livsic(s, kappa), kappa)
-        worst = max(worst, sup_deviation(twice, s, grid))
-        worst = max(worst, abs(extract_kappa(characteristic_from_livsic(s, kappa)) - kappa))
-    out.append(CheckResult("involution-and-kappa-extraction", worst, 1e-12))
-    worst = 0.0
-    M = realize_herglotz(reference_measures()[1])
-    zs = grid.as_array()
-    for alpha in (0.0, math.pi / 4, math.pi / 2, 2.5):
-        rotated_s = reference_change_livsic(s, alpha)
-        worst = max(worst, float(np.max(np.abs(np.abs(rotated_s(zs)) - np.abs(s(zs))))))
-        worst = max(worst, abs(reference_change_weyl(M, alpha)(1j) - 1j))
-    out.append(CheckResult("reference-change-laws", worst, 1e-12))
-    worst = 0.0
     S = characteristic_from_livsic(s, 0.5)
-    for theta in (1.0, 1j, complex(math.cos(2.1), math.sin(2.1))):
-        scaled = AnalyticFn(
-            evaluator=lambda zs, th=theta: th * S.evaluator(zs), kind=FnKind.CHARACTERISTIC
+
+    def involution():
+        worst = 0.0
+        for kappa in (0.25, 0.5 + 0.3j, 0.9, -0.6j):
+            Sk = characteristic_from_livsic(s, kappa)
+            worst = max(worst, sup_deviation(characteristic_from_livsic(Sk, kappa), s, grid),
+                        abs(extract_kappa(Sk) - kappa))
+        return worst
+
+    def rotated(theta):
+        return AnalyticFn(lambda zs: theta * S.evaluator(zs), FnKind.CHARACTERISTIC)
+
+    def verdicts():
+        ok = (
+            class_C_check(s, cfg).verdict is ClassVerdict.CONSISTENT_WITH_C
+            and class_C_check(constant_fn(0.5), cfg).verdict is ClassVerdict.FAILS_AT_I
+            and class_C_check(cayley_probe(), cfg).verdict is ClassVerdict.FAILS_GROWTH
         )
-        worst = max(worst, abs(extract_kappa(scaled) - theta * extract_kappa(S)))
-    out.append(CheckResult("unimodular-closure", worst, 1e-12))
-    verdicts_ok = (
-        class_C_check(s, cfg).verdict is ClassVerdict.CONSISTENT_WITH_C
-        and class_C_check(constant_fn(0.5), cfg).verdict is ClassVerdict.FAILS_AT_I
-        and class_C_check(
-            AnalyticFn(lambda z: (z - 1j) / (z + 1j), FnKind.GENERIC, "cayley-probe"),
-            cfg,
-        ).verdict
-        is ClassVerdict.FAILS_GROWTH
-    )
-    out.append(CheckResult("class-membership-verdicts", 0.0 if verdicts_ok else 1.0, 0.5))
-    return out
+        return 0.0 if ok else 1.0
+
+    return run_checks([
+        ("involution-and-kappa-extraction", 1e-12, involution),
+        ("reference-change-laws", 1e-12,
+         lambda: reference_rotation_defect(s, realize_herglotz(reference_measures()[1]),
+                                         (0.0, math.pi / 4, math.pi / 2, 2.5), grid.as_array())),
+        ("unimodular-closure", 1e-12,
+         lambda: max(abs(extract_kappa(rotated(theta)) - theta * extract_kappa(S))
+                     for theta in (1.0, 1j, complex(math.cos(2.1), math.sin(2.1))))),
+        ("class-membership-verdicts", 0.5, verdicts),
+    ])
 
 
 def coupling_checks(cfg: ToleranceConfig = ToleranceConfig()) -> List[CheckResult]:
     grid = default_grid()
     s1 = model_mod.model_closed_forms(0.5).livsic
     s2 = model_mod.model_closed_forms(1.0).livsic
-    out = []
-    worst = 0.0
-    for k1 in np.arange(0.0, 0.95, 0.1):
-        for k2 in np.arange(0.0, 0.95, 0.1):
-            ang = coupling_angles(k1, k2, cfg)
-            worst = max(worst, abs(math.sin(ang.beta) - k1 * math.sin(ang.alpha)))
-            if not ang.kappa2_is_zero:
-                worst = max(worst, abs(math.cos(ang.beta) - math.cos(ang.alpha) / k2))
-            worst = max(
-                worst, abs(math.sin(ang.beta) ** 2 + math.cos(ang.beta) ** 2 - 1.0)
-            )
-    out.append(CheckResult("angle-consistency", worst, 1e-14))
-    collapse1 = couple_livsic(s1, s2, CouplingAngles(0.0, 0.0))
-    collapse2 = couple_livsic(s1, s2, CouplingAngles(math.pi / 2, math.pi / 2))
-    out.append(
-        CheckResult(
-            "degenerate-angle-collapse",
-            max(sup_deviation(collapse1, s1, grid), sup_deviation(collapse2, s2, grid)),
-            1e-14,
-        )
-    )
-    worst = 0.0
-    kappa_defect = 0.0
-    for k1, k2 in ((0.3, 0.7), (0.5, 0.5), (0.25, 0.0)):
-        ang = coupling_angles(k1, k2, cfg)
-        coupled = couple_livsic(s1, s2, ang)
-        left = characteristic_from_livsic(coupled, k1 * k2)
-        t1 = TaggedCharacteristic(characteristic_from_livsic(s1, k1), k1)
-        t2 = TaggedCharacteristic(characteristic_from_livsic(s2, k2), k2)
-        right = multiply_characteristic(t1, t2)
-        worst = max(worst, sup_deviation(left, right.fn, grid))
-        kappa_defect = max(kappa_defect, abs(right.fn(1j) - k1 * k2))
-        worst_k = general_k_identity_defect(0.37, s1, s2, ang, grid)
-        worst = max(worst, worst_k)
-    out.append(CheckResult("multiplication-chain", worst, 1e-10))
-    out.append(CheckResult("kappa-multiplicativity", kappa_defect, 1e-12))
-    M1 = realize_herglotz(reference_measures()[0])
-    M2 = realize_herglotz(reference_measures()[1])
-    worst = 0.0
-    for alpha in (0.0, math.pi / 6, math.pi / 3, math.pi / 2):
-        worst = max(worst, abs(add_weyl(M1, M2, alpha)(1j) - 1j))
-    out.append(CheckResult("addition-normalization", worst, 1e-14))
-    vanish = couple_livsic(s1, s2, coupling_angles(0.4, 0.6, cfg))(1j)
-    out.append(CheckResult("class-preservation-at-i", abs(vanish), 1e-14))
-    report = verify_class_properties(bundled_corpus(), cfg, grid)
-    out.append(
-        CheckResult(
-            "class-properties(i-iv)",
-            max(r.worst_deviation for r in report.results),
-            cfg.identity_tol,
-        )
-    )
-    return out
+    pairs = ((0.3, 0.7), (0.5, 0.5), (0.25, 0.0))
+    # one sweep feeds two checks; an error inside it fails both
+    chain = functools.cache(lambda: multiplication_chain_defects(s1, s2, pairs, grid, cfg))
+
+    def angle_consistency():
+        worst = 0.0
+        for k1 in np.arange(0.0, 0.95, 0.1):
+            for k2 in np.arange(0.0, 0.95, 0.1):
+                ang = coupling_angles(k1, k2, cfg)
+                worst = max(worst, abs(math.sin(ang.beta) - k1 * math.sin(ang.alpha)))
+                if not ang.kappa2_is_zero:
+                    worst = max(worst, abs(math.cos(ang.beta) - math.cos(ang.alpha) / k2))
+                worst = max(worst, abs(math.sin(ang.beta) ** 2 + math.cos(ang.beta) ** 2 - 1.0))
+        return worst
+
+    def collapse(angle, s):
+        return sup_deviation(couple_livsic(s1, s2, CouplingAngles(angle, angle)), s, grid)
+
+    return run_checks([
+        ("angle-consistency", 1e-14, angle_consistency),
+        ("degenerate-angle-collapse", 1e-14,
+         lambda: max(collapse(0.0, s1), collapse(math.pi / 2, s2))),
+        ("multiplication-chain", 1e-10,
+         lambda: max(chain()[0],
+                     general_k_defect(s1, s2, [p + (0.37,) for p in pairs], grid, cfg))),
+        ("kappa-multiplicativity", 1e-12, lambda: chain()[1]),
+        ("addition-normalization", 1e-14,
+         lambda: addition_normalization_defect(
+             *map(realize_herglotz, reference_measures()),
+             (0.0, math.pi / 6, math.pi / 3, math.pi / 2))),
+        ("class-preservation-at-i", 1e-14,
+         lambda: abs(couple_livsic(s1, s2, coupling_angles(0.4, 0.6, cfg))(1j))),
+        ("class-properties(i-iv)", cfg.identity_tol,
+         lambda: max(r.worst_deviation
+                     for r in verify_class_properties(bundled_corpus(), cfg, grid).results)),
+    ])
 
 
 def model_checks(cfg: ToleranceConfig = ToleranceConfig()) -> List[CheckResult]:
     from scipy.integrate import quad  # here, so that only verify-all pays for scipy
 
     grid = default_grid()
-    out = []
-    worst = 0.0
-    for ell in (0.5, 1.0, 2.0, 5.0):
-        for elem in (model_mod.g_plus(ell), model_mod.g_minus(ell)):
-            norm_sq, _ = quad(lambda x: abs(elem(x)) ** 2, 0.0, ell)
-            worst = max(worst, abs(math.sqrt(norm_sq) - 1.0))
-    out.append(CheckResult("defect-element-norms", worst, 1e-10))
-    worst = 0.0
-    for ell in (0.5, 1.0, 2.0):
-        closed = model_mod.model_closed_forms(ell).livsic(grid.as_array())
-        # the oracle stays pointwise: it is the independent reference
-        oracle = np.array([oracle_mod.model_livsic_quadrature(ell, z, cfg) for z in grid])
-        worst = max(worst, float(np.max(np.abs(oracle - closed))))
-    out.append(CheckResult("oracle-vs-closed-form", worst, cfg.quadrature_tol))
-    worst = 0.0
-    for ell in (0.5, 1.0, 2.0):
-        gp, gm = model_mod.g_plus(ell), model_mod.g_minus(ell)
-        worst = max(worst, abs(gp(0.0) - math.exp(-ell) * gm(0.0)))
-        worst = max(
-            worst, abs((gp(0.0) - gm(0.0)) + (gp(ell) - gm(ell)))
-        )
-    out.append(CheckResult("boundary-relations", worst, 1e-12))
-    worst = 0.0
-    for ell, gamma in ((2.0, 0.5), (1.0, 0.25), (3.0, 0.999)):
-        worst = max(worst, model_mod.split_interval_check(ell, gamma, grid))
-    out.append(CheckResult("interval-split", worst, 1e-14))
-    return out
+    ells = (0.5, 1.0, 2.0)
+
+    def norm_defect(elem):
+        norm_sq, _ = quad(lambda x: abs(elem(x)) ** 2, 0.0, elem.length)
+        return abs(math.sqrt(norm_sq) - 1.0)
+
+    return run_checks([
+        ("defect-element-norms", 1e-10,
+         lambda: max(norm_defect(g(ell)) for ell in (0.5, 1.0, 2.0, 5.0)
+                     for g in (model_mod.g_plus, model_mod.g_minus))),
+        ("oracle-vs-closed-form", cfg.quadrature_tol, lambda: oracle_deviation(ells, grid, cfg)),
+        ("boundary-relations", 1e-12, lambda: boundary_relation_defect(ells)),
+        ("interval-split", 1e-14,
+         lambda: interval_split_defect(((2.0, 0.5), (1.0, 0.25), (3.0, 0.999)), grid)),
+    ])
 
 
 def run_all(cfg: ToleranceConfig = ToleranceConfig()) -> Dict[str, List[CheckResult]]:

@@ -1,6 +1,9 @@
 """Acceptance battery: one test per criterion, each printing a PASS/FAIL
 line with its worst deviation and pinned tolerance.
 
+The criteria call the identity checks of :mod:`livcalc.verify`, the same
+functions that ``livcalc verify-all`` runs, with larger sweeps.
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see every line.
 """
 
@@ -11,42 +14,19 @@ import time
 import numpy as np
 
 from livcalc import (
-    AnalyticFn,
-    BorelMeasureModel,
-    ClassVerdict,
-    FnKind,
-    MoebiusMap,
-    TaggedCharacteristic,
-    ToleranceConfig,
-    add_weyl,
-    characteristic_from_livsic,
-    class_C_check,
-    couple_livsic,
-    coupling_angles,
-    default_grid,
-    evaluate_many,
-    extract_kappa,
-    general_k_identity_defect,
-    g_minus,
-    g_plus,
-    min_imag,
-    model_closed_forms,
-    model_livsic_quadrature,
-    multiply_characteristic,
-    normalization_defect,
-    realize_herglotz,
-    reference_change_livsic,
-    reference_change_weyl,
-    stieltjes_invert,
-    sup_deviation,
+    ClassVerdict, ToleranceConfig, add_weyl, class_C_check, default_grid, extract_kappa, min_imag,
+    model_closed_forms, normalization_defect, realize_herglotz, sup_deviation,
     verify_class_properties,
 )
-from livcalc.verify import bundled_corpus, reference_measures
+from livcalc import verify
+from livcalc.extension import cayley_probe
+from livcalc.verify import atom_measure, bundled_corpus, reference_measures
 
 GRID = default_grid()
-GRID_ARRAY = GRID.as_array()
 CFG = ToleranceConfig()
 KAPPA_SWEEP = (0.0, 0.25, 0.5, 0.75)
+S1 = model_closed_forms(0.5).livsic
+S2 = model_closed_forms(1.0).livsic
 
 
 def report(number: int, name: str, worst: float, tol: float, extra: str = "") -> bool:
@@ -62,36 +42,16 @@ def report(number: int, name: str, worst: float, tol: float, extra: str = "") ->
 @functools.lru_cache(maxsize=1)
 def chain_sweep():
     """Couple/transform/product sweep shared by criteria 1 and 2."""
-    s1 = model_closed_forms(0.5).livsic
-    s2 = model_closed_forms(1.0).livsic
     start = time.monotonic()
-    worst_dev = 0.0
-    worst_kappa = 0.0
-    for k1 in KAPPA_SWEEP:
-        for k2 in KAPPA_SWEEP:
-            angles = coupling_angles(k1, k2, CFG)
-            coupled = couple_livsic(s1, s2, angles)
-            left = characteristic_from_livsic(coupled, k1 * k2)
-            t1 = TaggedCharacteristic(characteristic_from_livsic(s1, k1), k1)
-            t2 = TaggedCharacteristic(characteristic_from_livsic(s2, k2), k2)
-            right = multiply_characteristic(t1, t2)
-            dev = np.max(
-                np.abs(evaluate_many(left, GRID_ARRAY) - evaluate_many(right.fn, GRID_ARRAY))
-            )
-            worst_dev = max(worst_dev, float(dev))
-            worst_kappa = max(worst_kappa, abs(right.fn(1j) - k1 * k2))
+    pairs = [(k1, k2) for k1 in KAPPA_SWEEP for k2 in KAPPA_SWEEP]
+    worst_dev, worst_kappa = verify.multiplication_chain_defects(S1, S2, pairs, GRID, CFG)
     return worst_dev, worst_kappa, time.monotonic() - start
 
 
 def test_criterion_1_multiplication_theorem_end_to_end():
     worst_dev, _, elapsed = chain_sweep()
-    ok = report(
-        1,
-        "multiplication-theorem-end-to-end",
-        worst_dev,
-        1e-10,
-        extra=f"runtime {elapsed:.2f} s",
-    )
+    ok = report(1, "multiplication-theorem-end-to-end", worst_dev, 1e-10,
+                extra=f"runtime {elapsed:.2f} s")
     assert ok
     assert elapsed < 5.0
 
@@ -102,71 +62,43 @@ def test_criterion_2_kappa_multiplicativity():
 
 
 def test_criterion_3_addition_theorem():
-    mu1, mu2 = reference_measures()
-    M1, M2 = realize_herglotz(mu1), realize_herglotz(mu2)
-    worst_norm = 0.0
-    worst_herglotz = 0.0
-    for alpha in (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2):
-        combined = add_weyl(M1, M2, alpha)
-        worst_norm = max(worst_norm, abs(combined(1j) - 1j))
-        worst_herglotz = max(worst_herglotz, -min_imag(combined, GRID))
+    M1, M2 = (realize_herglotz(mu) for mu in reference_measures())
+    alphas = (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
+    worst_norm = verify.addition_normalization_defect(M1, M2, alphas)
+    worst_herglotz = max(-min_imag(add_weyl(M1, M2, alpha), GRID) for alpha in alphas)
     endpoint = max(
         sup_deviation(add_weyl(M1, M2, 0.0), M1, GRID),
         sup_deviation(add_weyl(M1, M2, math.pi / 2), M2, GRID),
     )
-    ok = report(
-        3,
-        "addition-theorem",
-        worst_norm,
-        1e-14,
-        extra=f"endpoint collapse {endpoint:.3g} < 1e-15, min Im margin ok: {worst_herglotz <= 0.0}",
-    )
+    ok = report(3, "addition-theorem", worst_norm, 1e-14,
+                extra=f"endpoint collapse {endpoint:.3g} < 1e-15, "
+                f"min Im margin ok: {worst_herglotz <= 0.0}")
     assert ok
     assert worst_herglotz <= 0.0  # strictly positive imaginary part on the grid
     assert endpoint < 1e-15
 
 
 def test_criterion_4_general_k_identity():
-    s1 = model_closed_forms(0.5).livsic
-    s2 = model_closed_forms(1.0).livsic
-    worst = 0.0
     angle_pairs = ((0.25, 0.5), (0.5, 0.75), (0.75, 0.75), (0.5, 0.0))
-    for k1, k2 in angle_pairs:
-        angles = coupling_angles(k1, k2, CFG)
-        for k in (0.0, 0.2, 0.37, 0.8, k1 * k2):  # mismatched and matched
-            worst = max(worst, general_k_identity_defect(k, s1, s2, angles, GRID))
+    # mismatched and matched k
+    sweep = [(k1, k2, k) for k1, k2 in angle_pairs for k in (0.0, 0.2, 0.37, 0.8, k1 * k2)]
+    worst = verify.general_k_defect(S1, S2, sweep, GRID, CFG)
     assert report(4, "general-k-identity", worst, 1e-10)
 
 
 def test_criterion_5_model_oracle():
     start = time.monotonic()
-    worst_quad = 0.0
-    for ell in (0.5, 1.0, 2.0):
-        closed = model_closed_forms(ell).livsic
-        for z in GRID:
-            worst_quad = max(
-                worst_quad, abs(model_livsic_quadrature(ell, z, CFG) - closed(z))
-            )
-    worst_boundary = 0.0
-    for ell in (0.5, 1.0, 2.0):
-        gp, gm = g_plus(ell), g_minus(ell)
-        worst_boundary = max(worst_boundary, abs(gp(0.0) - math.exp(-ell) * gm(0.0)))
-        worst_boundary = max(
-            worst_boundary, abs((gp(0.0) - gm(0.0)) + (gp(ell) - gm(ell)))
-        )
+    ells = (0.5, 1.0, 2.0)
+    worst_quad = verify.oracle_deviation(ells, GRID, CFG)
+    worst_boundary = verify.boundary_relation_defect(ells)
     worst_kappa = max(
         abs(extract_kappa(model_closed_forms(ell).characteristic) - math.exp(-ell))
-        for ell in (0.5, 1.0, 2.0)
+        for ell in ells
     )
     elapsed = time.monotonic() - start
-    ok = report(
-        5,
-        "interval-model-oracle",
-        worst_quad,
-        1e-8,
-        extra=f"boundary {worst_boundary:.3g} < 1e-12, "
-        f"kappa {worst_kappa:.3g} < 1e-12, runtime {elapsed:.2f} s",
-    )
+    ok = report(5, "interval-model-oracle", worst_quad, 1e-8,
+                extra=f"boundary {worst_boundary:.3g} < 1e-12, "
+                f"kappa {worst_kappa:.3g} < 1e-12, runtime {elapsed:.2f} s")
     assert ok
     assert worst_boundary < 1e-12
     assert worst_kappa < 1e-12
@@ -174,69 +106,17 @@ def test_criterion_5_model_oracle():
 
 
 def test_criterion_6_interval_split():
-    worst_dev = 0.0
-    worst_tag = 0.0
-    for ell in (1.0, 2.0, 3.0):
-        whole = model_closed_forms(ell)
-        for gamma in (0.25, 0.5, 0.75):
-            ell1 = gamma * ell
-            part1 = model_closed_forms(ell1)
-            part2 = model_closed_forms(ell - ell1)
-            product = multiply_characteristic(
-                TaggedCharacteristic(part1.characteristic, part1.kappa),
-                TaggedCharacteristic(part2.characteristic, part2.kappa),
-            )
-            worst_dev = max(
-                worst_dev,
-                float(
-                    np.max(
-                        np.abs(
-                            evaluate_many(whole.characteristic, GRID_ARRAY)
-                            - evaluate_many(product.fn, GRID_ARRAY)
-                        )
-                    )
-                ),
-            )
-            worst_tag = max(worst_tag, abs(product.kappa - whole.kappa))
-    ok = report(
-        6,
-        "interval-split",
-        worst_dev,
-        1e-14,
-        extra=f"kappa tag defect {worst_tag:.3g} < 1e-14",
-    )
-    assert ok
-    assert worst_tag < 1e-14
+    splits = [(ell, gamma) for ell in (1.0, 2.0, 3.0) for gamma in (0.25, 0.5, 0.75)]
+    worst = verify.interval_split_defect(splits, GRID)
+    assert report(6, "interval-split", worst, 1e-14, extra="kappa tag defect included")
 
 
 def test_criterion_7_measure_round_trip():
-    models = (
-        BorelMeasureModel(((0.0, 1.0),)),
-        BorelMeasureModel(((1.0, 1.0), (-1.0, 1.0))),
-        BorelMeasureModel(((1.0, 2.0),)),
-    )
-    worst_weight_rel = 0.0
-    worst_loc = 0.0
-    worst_defect = 0.0
-    for mu in models:
-        result = stieltjes_invert(
-            realize_herglotz(mu), (-2.0, 2.0), (1e-2, 1e-3, 1e-4), CFG
-        )
-        expected = sorted(mu.atoms)
-        assert len(result.atoms) == len(expected)
-        for got, (loc, weight) in zip(result.atoms, expected):
-            worst_weight_rel = max(
-                worst_weight_rel, abs(got.weight - weight) / weight
-            )
-            worst_loc = max(worst_loc, abs(got.location - loc) / result.scan_spacing)
-        worst_defect = max(worst_defect, normalization_defect(mu))
-    ok = report(
-        7,
-        "measure-round-trip",
-        worst_weight_rel,
-        CFG.inversion_rel_tol,
-        extra=f"location/spacing {worst_loc:.3g} < 1, defect {worst_defect:.3g} < 1e-14",
-    )
+    models = reference_measures() + (atom_measure((1.0, 2.0)),)
+    worst_weight_rel, worst_loc = verify.measure_round_trip_defects(models, CFG)
+    worst_defect = max(normalization_defect(mu) for mu in models)
+    ok = report(7, "measure-round-trip", worst_weight_rel, CFG.inversion_rel_tol,
+                extra=f"location/spacing {worst_loc:.3g} < 1, defect {worst_defect:.3g} < 1e-14")
     assert ok
     assert worst_loc < 1.0
     assert worst_defect < 1e-14
@@ -245,22 +125,12 @@ def test_criterion_7_measure_round_trip():
 def test_criterion_8_class_properties():
     class_report = verify_class_properties(bundled_corpus(), CFG, GRID)
     model_verdict = class_C_check(model_closed_forms(1.0).livsic, CFG).verdict
-    blaschke = AnalyticFn(
-        lambda z: (z - 1j) / (z + 1j), FnKind.GENERIC, "cayley-blaschke-probe"
-    )
-    probe_verdict = class_C_check(blaschke, CFG).verdict
-    verdicts_ok = (
-        model_verdict is ClassVerdict.CONSISTENT_WITH_C
-        and probe_verdict is ClassVerdict.FAILS_GROWTH
-    )
+    probe_verdict = class_C_check(cayley_probe(), CFG).verdict
+    verdicts_ok = (model_verdict is ClassVerdict.CONSISTENT_WITH_C
+                   and probe_verdict is ClassVerdict.FAILS_GROWTH)
     worst = max(r.worst_deviation for r in class_report.results)
-    ok = report(
-        8,
-        "class-properties",
-        worst,
-        CFG.identity_tol,
-        extra=f"verdicts: model={model_verdict.value}, probe={probe_verdict.value}",
-    )
+    ok = report(8, "class-properties", worst, CFG.identity_tol,
+                extra=f"verdicts: model={model_verdict.value}, probe={probe_verdict.value}")
     assert ok
     assert class_report.all_passed
     assert verdicts_ok
@@ -274,34 +144,18 @@ def test_criterion_9_structural():
     phases = rng.uniform(0.0, 2 * math.pi, n)
     kappas = 0.99 * rng.uniform(0.0, 1.0, n) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, n))
     ws = radii * np.exp(1j * phases)
-    worst_involution = 0.0
-    for w, kappa in zip(ws, kappas):
-        T = MoebiusMap.disk_automorphism(kappa)
-        worst_involution = max(worst_involution, abs(T(T(w)) - w))
+    worst_involution = verify.disk_involution_defect(zip(kappas, ws))
 
     zs = rng.uniform(-20.0, 20.0, n) + 1j * rng.uniform(0.05, 20.0, n)
-    K, Kinv = MoebiusMap.cayley(), MoebiusMap.inverse_cayley()
-    worst_cayley = max(abs(Kinv(K(z)) - z) for z in zs)
+    worst_cayley = verify.cayley_round_trip_defect(zs)
 
     s = model_closed_forms(1.0).livsic
     M = realize_herglotz(reference_measures()[1])
-    worst_reference = 0.0
-    sample_z = zs[:100]
-    for alpha in rng.uniform(0.0, math.pi, 100):
-        rotated = reference_change_livsic(s, alpha)
-        worst_reference = max(
-            worst_reference,
-            max(abs(abs(rotated(z)) - abs(s(z))) for z in sample_z),
-            abs(reference_change_weyl(M, alpha)(1j) - 1j),
-        )
+    alphas = rng.uniform(0.0, math.pi, 100)
+    worst_reference = verify.reference_rotation_defect(s, M, alphas, zs[:100])
 
     worst = max(worst_involution, worst_cayley, worst_reference)
-    ok = report(
-        9,
-        "structural-invariants",
-        worst,
-        1e-12,
-        extra=f"involution {worst_involution:.3g}, cayley {worst_cayley:.3g}, "
-        f"reference {worst_reference:.3g} on {n} points",
-    )
+    ok = report(9, "structural-invariants", worst, 1e-12,
+                extra=f"involution {worst_involution:.3g}, cayley {worst_cayley:.3g}, "
+                f"reference {worst_reference:.3g} on {n} points")
     assert ok

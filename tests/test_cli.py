@@ -293,6 +293,23 @@ class TestUsageErrors:
         code, _, _ = run_cli(capsys, "couple", "--kappa1", "0.5")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        "couple --kappa1 0.5 --kappa2 0.5", "multiply --kappa1 0.5 --kappa2 0.3", "add --alpha 0",
+        "measure --atoms 0:1", "check-class --length 1", "verify-all",
+    ])
+    def test_format_is_a_model_flag(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv.split(), "--format", "csv")
+        assert code == 2
+        assert out == ""
+
+    def test_csv_needs_a_grid(self, capsys):
+        code, out, err = run_cli(
+            capsys, "model", "--length", "1", "--eval", "0+2i", "--format", "csv"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestColdStart:
     def test_pointwise_verb_does_not_import_scipy(self):

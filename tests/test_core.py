@@ -93,6 +93,13 @@ class TestEvaluationGrid:
         assert len(GRID) == 21 * 21 + 1
         assert 1j in GRID.points
 
+    def test_points_are_one_read_only_array(self):
+        assert GRID.as_array() is GRID.points
+        assert GRID.points.dtype == np.complex128
+        with pytest.raises(ValueError):
+            GRID.points[0] = 2j
+        assert [type(z) for z in GRID] == [complex] * len(GRID)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             EvaluationGrid(())
@@ -108,7 +115,7 @@ class TestEvaluationGrid:
     def test_json_round_trip(self):
         small = EvaluationGrid((1j, 2 + 0.5j), "probe")
         again = grid_from_json(grid_to_json(small))
-        assert again.points == small.points
+        assert np.array_equal(again.points, small.points)
         assert again.description == "probe"
 
 

@@ -302,10 +302,3 @@ class TestVerifyClassProperties:
             "livsic-multiplication",
         ]
         assert all(r.pairs_checked > 0 for r in report.results)
-
-    def test_report_serializes(self):
-        report = verify_class_properties(bundled_corpus(), CFG, GRID)
-        payload = report.to_json()
-        assert payload["all_passed"] is True
-        assert payload["grid"] == GRID.description
-        assert len(payload["properties"]) == 4

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from livcalc import (
-    AnalyticFn,
     BorelMeasureModel,
     EmptyMeasure,
     FnKind,
@@ -24,7 +23,6 @@ from livcalc import (
     realize_herglotz,
     stieltjes_invert,
 )
-from livcalc.measure import density_quadrature_error_estimate
 
 GRID = default_grid()
 
@@ -99,8 +97,17 @@ class TestRealizeHerglotz:
             assert min_imag(realize_herglotz(mu), GRID) > 0.0
 
     def test_density_contribution_resolution(self):
-        mu = BorelMeasureModel((), cauchy_density())
-        assert density_quadrature_error_estimate(mu, 1j) < 1e-8
+        # at z = i the kernel 1/(x - z) - x/(1 + x^2) is i/(1 + x^2): the
+        # stored Simpson lattice against adaptive quadrature of that integral
+        from scipy.integrate import quad
+
+        density = cauchy_density()
+        integral, _ = quad(
+            lambda x: 1.0 / (math.pi * (1.0 + x * x) ** 2), density.x_lo, density.x_hi,
+            epsabs=1e-14,
+        )
+        M = realize_herglotz(BorelMeasureModel((), density))
+        assert abs(M(1j) - 1j * integral) < 1e-12
 
 
 class TestNormalizationDefect:

@@ -16,6 +16,13 @@ disk_points = st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 2 * math.pi)).map(
     lambda rt: rt[0] * cmath.exp(1j * rt[1])
 )
 angles = st.floats(-math.pi, math.pi)
+IDENTITY = MoebiusMap(1, 0, 0, 1)
+
+
+def gap(m1, m2):
+    """Equality as maps: the largest |m1(z) - m2(z)| over the default grid,
+    relative once |m2(z)| exceeds 1."""
+    return max(abs(m1(z) - m2(z)) / max(1.0, abs(m2(z))) for z in GRID)
 
 
 class TestConstructors:
@@ -61,9 +68,8 @@ class TestApply:
 class TestCompose:
     def test_cayley_inverse_pair(self):
         K, Kinv = MoebiusMap.cayley(), MoebiusMap.inverse_cayley()
-        identity = MoebiusMap(1, 0, 0, 1)
-        assert K.compose(Kinv).approx_equal(identity)
-        assert Kinv.compose(K).approx_equal(identity)
+        assert gap(K.compose(Kinv), IDENTITY) < 1e-12
+        assert gap(Kinv.compose(K), IDENTITY) < 1e-12
 
     def test_compose_convention(self):
         K, R = MoebiusMap.cayley(), MoebiusMap.halfplane_rotation(0.7)
@@ -73,17 +79,13 @@ class TestCompose:
     @given(disk_points)
     def test_disk_automorphism_involution_as_matrix(self, kappa):
         T = MoebiusMap.disk_automorphism(kappa)
-        assert T.compose(T).approx_equal(MoebiusMap(1, 0, 0, 1))
+        assert gap(T.compose(T), IDENTITY) < 1e-12
 
     @given(angles, angles)
     def test_rotation_angle_addition(self, a, b):
         lhs = MoebiusMap.halfplane_rotation(a).compose(MoebiusMap.halfplane_rotation(b))
         rhs = MoebiusMap.halfplane_rotation(a + b)
-        assert lhs.approx_equal(rhs, tol=1e-12)
-
-    def test_matmul_alias(self):
-        K, Kinv = MoebiusMap.cayley(), MoebiusMap.inverse_cayley()
-        assert (K @ Kinv).approx_equal(MoebiusMap(1, 0, 0, 1))
+        assert gap(lhs, rhs) < 1e-12
 
 
 class TestGeometricInvariants:
@@ -114,7 +116,7 @@ class TestEquality:
     def test_proportional_maps_equal(self):
         K = MoebiusMap.cayley()
         scaled = MoebiusMap(3j * K.a, 3j * K.b, 3j * K.c, 3j * K.d)
-        assert K.approx_equal(scaled)
+        assert gap(K, scaled) < 1e-15
 
     def test_different_maps_not_equal(self):
-        assert not MoebiusMap.cayley().approx_equal(MoebiusMap(1, 0, 0, 1))
+        assert gap(MoebiusMap.cayley(), IDENTITY) > 0.1

@@ -1,0 +1,93 @@
+"""The verify-all battery: its pinned checks, a broken invariant reported as
+a failed check, and the bindings the benchmark tracer wraps."""
+
+import importlib.util
+import json
+import os
+
+from livcalc import cli, verify
+from livcalc import model as model_mod
+from livcalc.model import ModelFunctions
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: (suite, check, largest tolerance allowed), in output order
+PINNED = (
+    ("core", "self-deviation-zero", 1e-15),
+    ("core", "deviation-symmetry", 1e-15),
+    ("core", "deviation-triangle", 1e-15),
+    ("core", "livsic-kind-contractive", 1e-10),
+    ("moebius", "cayley-contracts-halfplane", 1e-12),
+    ("moebius", "cayley-round-trip", 1e-12),
+    ("moebius", "disk-automorphism-involution", 1e-12),
+    ("moebius", "rotation-fixes-i", 1e-15),
+    ("measure", "normalization-equals-value-at-i", 1e-13),
+    ("measure", "herglotz-range-and-cayley-contraction", 1e-12),
+    ("measure", "two-atom-round-trip(scaled)", 1.0),
+    ("extension", "involution-and-kappa-extraction", 1e-12),
+    ("extension", "reference-change-laws", 1e-12),
+    ("extension", "unimodular-closure", 1e-12),
+    ("extension", "class-membership-verdicts", 0.5),
+    ("coupling", "angle-consistency", 1e-14),
+    ("coupling", "degenerate-angle-collapse", 1e-14),
+    ("coupling", "multiplication-chain", 1e-10),
+    ("coupling", "kappa-multiplicativity", 1e-12),
+    ("coupling", "addition-normalization", 1e-14),
+    ("coupling", "class-preservation-at-i", 1e-14),
+    ("coupling", "class-properties(i-iv)", 1e-10),
+    ("model", "defect-element-norms", 1e-10),
+    ("model", "oracle-vs-closed-form", 1e-8),
+    ("model", "boundary-relations", 1e-12),
+    ("model", "interval-split", 1e-14),
+)
+
+
+def test_checks_and_tolerances_are_pinned():
+    results = verify.run_all()
+    got = [(suite, check.name) for suite, checks in results.items() for check in checks]
+    assert got == [(suite, name) for suite, name, _ in PINNED]
+    tols = [check.tol for checks in results.values() for check in checks]
+    for (suite, name, pinned), tol in zip(PINNED, tols):
+        assert tol <= pinned, (suite, name)
+
+
+def test_broken_tag_is_a_failed_check(capsys, monkeypatch):
+    # a parameter tag off by 1e-6: the split's product tag no longer matches
+    # its characteristic function at i, which raises inside the check
+    closed_forms = model_mod.model_closed_forms
+
+    def off_tag(ell):
+        forms = closed_forms(ell)
+        return ModelFunctions(forms.livsic, forms.characteristic, forms.kappa * (1 + 1e-6))
+
+    monkeypatch.setattr(model_mod, "model_closed_forms", off_tag)
+    code = cli.main(["verify-all"])
+    captured = capsys.readouterr()
+    assert code == 1
+    report = json.loads(captured.out)
+    assert report["all_passed"] is False
+    failed = [
+        (suite, check["name"], check["worst_deviation"])
+        for suite, checks in report.items() if suite != "all_passed"
+        for check in checks if not check["passed"]
+    ]
+    assert failed == [("model", "interval-split", "inf")]
+
+
+def test_benchmark_tracer_sees_every_suite(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py")
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["verify-all"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    assert tracer.counts["oracle.quadrature.calls"] == 1326
+    for suite in ("core", "moebius", "measure", "extension", "coupling", "model"):
+        assert tracer.counts[f"verify.{suite}.calls"] == 1, suite
