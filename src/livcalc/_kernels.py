@@ -7,8 +7,9 @@ The inner loops that dominate runtime live here:
 * ``gauss_exp`` -- weighted sums of exp(b*t) over a node set on [0, 1] for
   several exponents and several rules at once (the quadrature oracle's
   composite Gauss-Legendre step);
-* ``simpson_exp`` -- composite Simpson sum of exp(a*x) on [0, L], the
-  oracle's former rule, kept as a reference kernel.
+* ``simpson_weights`` -- the composite Simpson weights, used by sampled
+  densities and by ``simpson_exp``, the composite Simpson sum of exp(a*x)
+  on [0, L]: the oracle's former rule, kept as a reference kernel.
 """
 
 from __future__ import annotations
@@ -53,6 +54,15 @@ def gauss_exp(b, nodes, weights) -> np.ndarray:
     return terms @ weights
 
 
+def simpson_weights(n_samples: int, h: float) -> np.ndarray:
+    """Composite Simpson weights (h/3) (1, 4, 2, ..., 2, 4, 1) on an odd
+    number of samples spaced ``h`` apart."""
+    w = np.ones(n_samples)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * (h / 3.0)
+
+
 def simpson_exp(a: complex, length: float, n: int) -> complex:
     """Composite Simpson estimate of the integral of exp(a*x) over [0, length].
 
@@ -64,7 +74,4 @@ def simpson_exp(a: complex, length: float, n: int) -> complex:
         raise ValueError(f"panel count n={n} must be even and >= 2")
     length = float(length)
     x = np.linspace(0.0, length, n + 1)
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return complex((length / n) / 3.0 * np.sum(w * np.exp(complex(a) * x)))
+    return complex(np.sum(simpson_weights(n + 1, length / n) * np.exp(complex(a) * x)))

@@ -370,10 +370,7 @@ def main(argv: Optional[list] = None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.verb](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (LivcalcError, ValueError, OSError, argparse.ArgumentTypeError) as exc:
+    except (UsageError, LivcalcError, ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

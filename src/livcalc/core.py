@@ -1,5 +1,5 @@
 """Analytic functions on the open upper half-plane: representation, grids,
-tolerances, and pointwise comparison utilities.
+the pinned tolerances, and pointwise comparison utilities.
 
 Functions are represented by their array evaluators.  Every constructor in
 the package returns an :class:`AnalyticFn`, so identity checks reduce to
@@ -19,6 +19,17 @@ from .errors import PoleEncountered
 
 #: Values with magnitude above this are treated as a pole hit.
 OVERFLOW_GUARD = 1e12
+
+# The pinned tolerances.  They are constants, not parameters: a verdict is
+# only as strict as its tolerance, so no caller can loosen one.
+#: Identity checks and values at i.
+IDENTITY_TOL = 1e-10
+#: The quadrature oracle against the closed form.
+QUADRATURE_TOL = 1e-8
+#: kappa2 at or below this takes the degenerate coupling branch.
+KAPPA2_ZERO_THRESHOLD = 1e-12
+#: Relative atom-weight error of Stieltjes inversion.
+INVERSION_REL_TOL = 0.02
 
 
 class FnKind(enum.Enum):
@@ -129,25 +140,15 @@ class EvaluationGrid:
         """The points as Python complexes, in grid order."""
         return iter(self.points.tolist())
 
-    def as_array(self) -> np.ndarray:
-        return self.points
 
-
-@dataclass(frozen=True)
 class ToleranceConfig:
-    """Tolerances shared by identity checks, quadrature and inversion."""
+    """The pinned tolerances as read-only attributes; takes no arguments."""
 
-    identity_tol: float = 1e-10
-    quadrature_tol: float = 1e-8
-    kappa2_zero_threshold: float = 1e-12
-    inversion_rel_tol: float = 0.02
-
-    def __post_init__(self):
-        for name in ("identity_tol", "quadrature_tol", "kappa2_zero_threshold",
-                     "inversion_rel_tol"):
-            value = getattr(self, name)
-            if not (0.0 < value < 1.0):
-                raise ValueError(f"{name}={value!r} must lie strictly in (0, 1)")
+    __slots__ = ()
+    identity_tol = IDENTITY_TOL
+    quadrature_tol = QUADRATURE_TOL
+    kappa2_zero_threshold = KAPPA2_ZERO_THRESHOLD
+    inversion_rel_tol = INVERSION_REL_TOL
 
 
 def default_grid() -> EvaluationGrid:
@@ -169,7 +170,7 @@ def evaluate_on_grid(f: AnalyticFn, grid: EvaluationGrid) -> list:
     A pole does not abort the sweep: the offending entry holds the
     :class:`PoleEncountered` instance instead of a complex value.
     """
-    zs, values, bad = _guarded_values(f, grid.as_array())
+    zs, values, bad = _guarded_values(f, grid.points)
     return [
         PoleEncountered(_pole_message(f, z)) if pole else complex(value)
         for z, value, pole in zip(zs, values, bad)
@@ -184,18 +185,18 @@ def evaluate_many(f: AnalyticFn, zs: np.ndarray) -> np.ndarray:
 
 def sup_deviation(f: AnalyticFn, g: AnalyticFn, grid: EvaluationGrid) -> float:
     """max over the grid of |f(z) - g(z)|; symmetric in ``f`` and ``g``."""
-    zs = grid.as_array()
+    zs = grid.points
     return float(np.max(np.abs(f(zs) - g(zs))))
 
 
 def max_modulus(f: AnalyticFn, grid: EvaluationGrid) -> float:
     """Largest |f(z)| over the grid (contractivity probe)."""
-    return float(np.max(np.abs(f(grid.as_array()))))
+    return float(np.max(np.abs(f(grid.points))))
 
 
 def min_imag(f: AnalyticFn, grid: EvaluationGrid) -> float:
     """Smallest Im f(z) over the grid (Herglotz probe)."""
-    return float(np.min(f(grid.as_array()).imag))
+    return float(np.min(f(grid.points).imag))
 
 
 def constant_fn(value: complex, kind: FnKind = FnKind.GENERIC,

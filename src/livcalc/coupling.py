@@ -12,11 +12,11 @@ from typing import List, Sequence
 import numpy as np
 
 from .core import (
+    IDENTITY_TOL,
+    KAPPA2_ZERO_THRESHOLD,
     AnalyticFn,
     EvaluationGrid,
     FnKind,
-    ToleranceConfig,
-    default_grid,
     divide_off_pole,
     max_modulus,
     min_imag,
@@ -58,14 +58,10 @@ class CouplingAngles:
         )
 
 
-def coupling_angles(
-    kappa1: float,
-    kappa2: float,
-    cfg: ToleranceConfig = ToleranceConfig(),
-) -> CouplingAngles:
+def coupling_angles(kappa1: float, kappa2: float) -> CouplingAngles:
     """Angles (alpha, beta) determined by the moduli kappa1, kappa2 in [0, 1).
 
-    kappa2 above the zero threshold:
+    kappa2 above KAPPA2_ZERO_THRESHOLD:
         alpha = arctan((1/kappa2) sqrt((1 - kappa2^2)/(1 - kappa1^2))),
         beta  = arctan(kappa1 kappa2 tan(alpha));
     kappa2 at/below threshold: alpha = pi/2, beta = arcsin(kappa1), which is
@@ -79,7 +75,7 @@ def coupling_angles(
     for name, k in (("kappa1", k1), ("kappa2", k2)):
         if not (0.0 <= k < 1.0):
             raise OutOfRange(f"{name} = {k} outside [0, 1)")
-    if k2 <= cfg.kappa2_zero_threshold:
+    if k2 <= KAPPA2_ZERO_THRESHOLD:
         return CouplingAngles(_HALF_PI, math.asin(k1), kappa2_is_zero=True)
     ratio = math.sqrt((1.0 - k2 * k2) / (1.0 - k1 * k1))
     alpha = math.atan(ratio / k2)
@@ -136,7 +132,7 @@ def general_k_identity_defect(
     a1 = cc + k * ss
     a2 = ss + k * cc
     s = couple_livsic(s1, s2, angles)
-    zs = grid.as_array()
+    zs = grid.points
     v, v1, v2 = s(zs), s1(zs), s2(zs)
     lhs = divide_off_pole(v - k, k * v - 1.0, 1e-14)
     rhs = divide_off_pole(
@@ -172,18 +168,17 @@ def add_weyl(M1: AnalyticFn, M2: AnalyticFn, alpha: float) -> AnalyticFn:
 class TaggedCharacteristic:
     """A characteristic function together with its extension parameter.
 
-    Construction verifies the tag against the value at i."""
+    Construction verifies the tag against the value at i, to IDENTITY_TOL."""
 
     fn: AnalyticFn
     kappa: complex
-    tag_tol: float = 1e-10
 
     def __post_init__(self):
         object.__setattr__(self, "kappa", ensure_kappa(self.kappa))
         if self.fn.kind is not FnKind.CHARACTERISTIC:
             raise ValueError("tagged function must have Characteristic kind")
         defect = abs(self.fn(1j) - self.kappa)
-        if defect >= self.tag_tol:
+        if defect >= IDENTITY_TOL:
             raise ValueError(
                 f"tag kappa = {self.kappa} disagrees with fn(i) by {defect:.3g}"
             )
@@ -232,9 +227,7 @@ _CONVEXITY_ANGLES = (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
 
 
 def verify_class_properties(
-    samples: Sequence[AnalyticFn],
-    cfg: ToleranceConfig = ToleranceConfig(),
-    grid: EvaluationGrid = None,
+    samples: Sequence[AnalyticFn], grid: EvaluationGrid
 ) -> ClassPropertiesReport:
     """Check the four class-level closure properties over a sample corpus.
 
@@ -245,10 +238,10 @@ def verify_class_properties(
     (iii) a product with a vanishing-parameter factor vanishes at i
           (two-sided ideal property);
     (iv)  products of Livsic samples vanish at i.
+
+    Each property passes when its worst deviation is below IDENTITY_TOL.
     """
-    if grid is None:
-        grid = default_grid()
-    tol = cfg.identity_tol
+    tol = IDENTITY_TOL
     herglotz = [f for f in samples if f.kind is FnKind.HERGLOTZ]
     livsic = [f for f in samples if f.kind is FnKind.LIVSIC]
     charac = [f for f in samples if f.kind is FnKind.CHARACTERISTIC]
@@ -296,7 +289,7 @@ def verify_class_properties(
 
     pairs = 0
     worst = 0.0
-    zs = grid.as_array()
+    zs = grid.points
     livsic_values = [f(zs) for f in livsic]
     for i in range(len(livsic)):
         for j in range(i, len(livsic)):

@@ -13,7 +13,7 @@ from typing import List
 
 import numpy as np
 
-from .core import AnalyticFn, FnKind, ToleranceConfig, divide_off_pole, fmt_float
+from .core import IDENTITY_TOL, AnalyticFn, FnKind, divide_off_pole, fmt_float
 from .errors import NotContractive
 from .moebius import DET_THRESHOLD, MoebiusMap
 
@@ -157,10 +157,10 @@ RAY_ALPHA_COUNT = 16
 RAY_PASS_THRESHOLD = 1e3
 
 
-def class_C_check(s: AnalyticFn, cfg: ToleranceConfig = ToleranceConfig()) -> ClassMembershipReport:
+def class_C_check(s: AnalyticFn) -> ClassMembershipReport:
     """Falsification heuristic for membership in the vanishing-at-i class.
 
-    Checks s(i) = 0 against ``cfg.identity_tol`` and, for every boundary
+    Checks s(i) = 0 against IDENTITY_TOL and, for every boundary
     phase exp(2 i alpha) on a 16-point grid over [0, pi), that
     |z (s(z) - exp(2 i alpha))| is strictly increasing along each probe ray
     and exceeds 10^3 at the largest radius.  FailsAtI is a conclusive
@@ -170,7 +170,7 @@ def class_C_check(s: AnalyticFn, cfg: ToleranceConfig = ToleranceConfig()) -> Cl
     about 99.5 at r = 10^4.  ConsistentWithC is evidence, not proof.
     """
     value_at_i = s(1j)
-    vanishes = abs(value_at_i) < cfg.identity_tol
+    vanishes = abs(value_at_i) < IDENTITY_TOL
 
     alphas = np.arange(RAY_ALPHA_COUNT) * math.pi / RAY_ALPHA_COUNT
     targets = np.exp(2j * alphas)[:, None, None]

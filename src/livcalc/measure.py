@@ -23,16 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .core import AnalyticFn, FnKind, ToleranceConfig, divide_off_pole, evaluate_many, fmt_float
+from .core import AnalyticFn, FnKind, divide_off_pole, evaluate_many, fmt_float
 from .errors import EmptyMeasure, WindowTooSmall
-
-
-def _simpson_weights(n_samples: int, h: float) -> np.ndarray:
-    # composite Simpson on an odd number of samples (even panel count)
-    w = np.ones(n_samples)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
 
 
 @dataclass(frozen=True)
@@ -66,7 +58,7 @@ class SampledDensity:
 
     def quadrature_weights(self) -> np.ndarray:
         """Simpson weights times sample values: ready-to-sum kernel weights."""
-        return _simpson_weights(len(self.values), self.h) * np.asarray(self.values)
+        return _kernels.simpson_weights(len(self.values), self.h) * np.asarray(self.values)
 
     def mass(self) -> float:
         return float(np.sum(self.quadrature_weights()))
@@ -111,12 +103,6 @@ class BorelMeasureModel:
             x = self.density.lattice()
             total += float(np.sum(self.density.quadrature_weights() / (1.0 + x**2)))
         return total
-
-    def total_mass(self) -> float:
-        mass = float(np.sum(self.weights())) if len(self.atoms) else 0.0
-        if self.density is not None:
-            mass += self.density.mass()
-        return mass
 
     def to_json(self) -> dict:
         dens = None
@@ -248,7 +234,6 @@ def stieltjes_invert(
     M: AnalyticFn,
     window: tuple,
     eps_schedule: Sequence[float],
-    cfg: ToleranceConfig = ToleranceConfig(),
     n_scan: int = 2001,
 ) -> InversionResult:
     """Recover a measure estimate from boundary values of Im M.

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from ._kernels import gauss_exp
-from .core import ToleranceConfig, require_upper
+from .core import QUADRATURE_TOL, require_upper
 from .errors import QuadratureFailed
 
 #: Gauss-Legendre points per panel.
@@ -83,18 +83,14 @@ def _exp_integrals(a_minus: complex, a_plus: complex, ell: float, tol: float):
     )
 
 
-def model_livsic_quadrature(
-    ell: float,
-    z: complex,
-    cfg: ToleranceConfig = ToleranceConfig(),
-) -> complex:
+def model_livsic_quadrature(ell: float, z: complex) -> complex:
     """s(z) for the interval model, from quadrature of the inner products.
 
     (g_z, g_-) integrates e^{-izx} times sqrt(2)/sqrt(1 - e^{-2 ell}) e^{-x}
     and (g_z, g_+) integrates e^{-izx} times sqrt(2)/sqrt(e^{2 ell} - 1) e^{x}
     (both defect elements are real-valued, so conjugation is a no-op), by
     composite Gauss-Legendre quadrature with a panel count scaled to
-    |z + i| * ell.  Agrees with the closed form within ``cfg.quadrature_tol``;
+    |z + i| * ell.  Agrees with the closed form within QUADRATURE_TOL;
     raises QuadratureFailed when an integrand overflows, i.e. once
     (Im z + 1) * ell exceeds MAX_EXPONENT, or when |z + i| * ell is too large
     for the MAX_NODES budget (past about 1.09e4).
@@ -103,7 +99,7 @@ def model_livsic_quadrature(
     if not ell > 0.0:
         raise ValueError(f"interval length must be positive, got {ell}")
     z = require_upper(z)
-    tol = cfg.quadrature_tol / 10.0
+    tol = QUADRATURE_TOL / 10.0
 
     # sqrt(e^{2 ell} - 1) = e^ell sqrt(1 - e^{-2 ell}): no overflow at large ell
     c_plus = math.sqrt(2.0) * math.exp(-ell) / math.sqrt(-math.expm1(-2.0 * ell))

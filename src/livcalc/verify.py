@@ -1,6 +1,8 @@
 """Invariant suites, one per module, runnable as a batch.
 
 Each check compares a worst-case deviation against its pinned tolerance.
+A suite builds the inputs its checks share inside those checks, on first
+use, so that an error there fails the checks instead of the battery.
 The CLI exposes the whole battery as ``livcalc verify-all``; the acceptance
 tests drive the same checks with their own sweeps on top.
 
@@ -22,8 +24,8 @@ import numpy as np
 from . import model as model_mod
 from . import oracle as oracle_mod
 from .core import (
-    AnalyticFn, EvaluationGrid, FnKind, ToleranceConfig, constant_fn, default_grid, fmt_float,
-    max_modulus, min_imag, sup_deviation,
+    IDENTITY_TOL, INVERSION_REL_TOL, QUADRATURE_TOL, AnalyticFn, EvaluationGrid, FnKind,
+    constant_fn, default_grid, fmt_float, max_modulus, min_imag, sup_deviation,
 )
 from .coupling import (
     CouplingAngles, TaggedCharacteristic, add_weyl, couple_livsic, coupling_angles,
@@ -125,7 +127,7 @@ def bundled_corpus() -> List[AnalyticFn]:
 
 def multiplication_chain_defects(
     s1: AnalyticFn, s2: AnalyticFn, kappa_pairs: Iterable[Tuple[float, float]],
-    grid: EvaluationGrid, cfg: ToleranceConfig = ToleranceConfig(),
+    grid: EvaluationGrid,
 ) -> Tuple[float, float]:
     """The multiplication theorem over the (kappa1, kappa2) pairs: the worst
     sup deviation of the characteristic function of the coupling at
@@ -133,7 +135,7 @@ def multiplication_chain_defects(
     kappa2, and the worst |product(i) - kappa1 kappa2|."""
     worst_chain = worst_kappa = 0.0
     for k1, k2 in kappa_pairs:
-        coupled = couple_livsic(s1, s2, coupling_angles(k1, k2, cfg))
+        coupled = couple_livsic(s1, s2, coupling_angles(k1, k2))
         left = characteristic_from_livsic(coupled, k1 * k2)
         right = multiply_characteristic(
             TaggedCharacteristic(characteristic_from_livsic(s1, k1), k1),
@@ -146,12 +148,12 @@ def multiplication_chain_defects(
 
 def general_k_defect(
     s1: AnalyticFn, s2: AnalyticFn, sweep: Iterable[Tuple[float, float, float]],
-    grid: EvaluationGrid, cfg: ToleranceConfig = ToleranceConfig(),
+    grid: EvaluationGrid,
 ) -> float:
     """Worst general-k coupling identity defect over the (kappa1, kappa2, k)
     triples."""
     return max(
-        general_k_identity_defect(k, s1, s2, coupling_angles(k1, k2, cfg), grid)
+        general_k_identity_defect(k, s1, s2, coupling_angles(k1, k2), grid)
         for k1, k2, k in sweep
     )
 
@@ -166,15 +168,13 @@ def interval_split_defect(splits: Iterable[Tuple[float, float]], grid: Evaluatio
     return max(model_mod.split_interval_check(ell, gamma, grid) for ell, gamma in splits)
 
 
-def oracle_deviation(
-    ells: Iterable[float], grid: EvaluationGrid, cfg: ToleranceConfig = ToleranceConfig()
-) -> float:
+def oracle_deviation(ells: Iterable[float], grid: EvaluationGrid) -> float:
     """Worst |quadrature oracle - closed form s| over the lengths and grid."""
     worst = 0.0
     for ell in ells:
-        closed = model_mod.model_closed_forms(ell).livsic(grid.as_array())
+        closed = model_mod.model_closed_forms(ell).livsic(grid.points)
         # the oracle stays pointwise: it is the independent reference
-        oracle = np.array([oracle_mod.model_livsic_quadrature(ell, z, cfg) for z in grid])
+        oracle = np.array([oracle_mod.model_livsic_quadrature(ell, z) for z in grid])
         worst = max(worst, float(np.max(np.abs(oracle - closed))))
     return worst
 
@@ -224,15 +224,13 @@ def reference_rotation_defect(s: AnalyticFn, M: AnalyticFn, alphas, zs: np.ndarr
     return worst
 
 
-def measure_round_trip_defects(
-    measures: Iterable[BorelMeasureModel], cfg: ToleranceConfig = ToleranceConfig()
-) -> Tuple[float, float]:
+def measure_round_trip_defects(measures: Iterable[BorelMeasureModel]) -> Tuple[float, float]:
     """Stieltjes inversion of each measure over [-2, 2] at eps 1e-2, 1e-3,
     1e-4: the worst relative weight error and location error (in scan
     spacings) of the atoms, both inf when an atom count is wrong."""
     worst_weight = worst_location = 0.0
     for mu in measures:
-        result = stieltjes_invert(realize_herglotz(mu), (-2.0, 2.0), (1e-2, 1e-3, 1e-4), cfg)
+        result = stieltjes_invert(realize_herglotz(mu), (-2.0, 2.0), (1e-2, 1e-3, 1e-4))
         if len(result.atoms) != len(mu.atoms):
             return math.inf, math.inf
         for atom, (loc, weight) in zip(result.atoms, sorted(mu.atoms)):
@@ -244,9 +242,9 @@ def measure_round_trip_defects(
 # --- the suites ----------------------------------------------------------------
 
 
-def core_checks(cfg: ToleranceConfig = ToleranceConfig()) -> List[CheckResult]:
+def core_checks() -> List[CheckResult]:
     grid = default_grid()
-    f = model_mod.model_closed_forms(1.0).livsic
+    f = functools.cache(lambda: model_mod.model_closed_forms(1.0).livsic)
     g = constant_fn(0.25 + 0.1j)
     h = constant_fn(-0.3 + 0.4j)
 
@@ -262,14 +260,15 @@ def core_checks(cfg: ToleranceConfig = ToleranceConfig()) -> List[CheckResult]:
         return worst
 
     return run_checks([
-        ("self-deviation-zero", 1e-15, lambda: dev(f, f)),
-        ("deviation-symmetry", 1e-15, lambda: abs(dev(f, g) - dev(g, f))),
-        ("deviation-triangle", 1e-15, lambda: max(0.0, dev(f, h) - (dev(f, g) + dev(g, h)))),
-        ("livsic-kind-contractive", cfg.identity_tol, contractive),
+        ("self-deviation-zero", 1e-15, lambda: dev(f(), f())),
+        ("deviation-symmetry", 1e-15, lambda: abs(dev(f(), g) - dev(g, f()))),
+        ("deviation-triangle", 1e-15,
+         lambda: max(0.0, dev(f(), h) - (dev(f(), g) + dev(g, h)))),
+        ("livsic-kind-contractive", IDENTITY_TOL, contractive),
     ])
 
 
-def moebius_checks(cfg: ToleranceConfig = ToleranceConfig()) -> List[CheckResult]:
+def moebius_checks() -> List[CheckResult]:
     grid = default_grid()
     K = MoebiusMap.cayley()
     rng = np.random.default_rng(7)
@@ -288,7 +287,7 @@ def moebius_checks(cfg: ToleranceConfig = ToleranceConfig()) -> List[CheckResult
     ])
 
 
-def measure_checks(cfg: ToleranceConfig = ToleranceConfig()) -> List[CheckResult]:
+def measure_checks() -> List[CheckResult]:
     grid = default_grid()
     m_origin, m_pair = reference_measures()
 
@@ -300,8 +299,8 @@ def measure_checks(cfg: ToleranceConfig = ToleranceConfig()) -> List[CheckResult
         return worst
 
     def round_trip():
-        weight, location = measure_round_trip_defects([m_pair], cfg)
-        return max(location, weight / cfg.inversion_rel_tol)
+        weight, location = measure_round_trip_defects([m_pair])
+        return max(location, weight / INVERSION_REL_TOL)
 
     return run_checks([
         ("normalization-equals-value-at-i", 1e-13,
@@ -312,55 +311,55 @@ def measure_checks(cfg: ToleranceConfig = ToleranceConfig()) -> List[CheckResult
     ])
 
 
-def extension_checks(cfg: ToleranceConfig = ToleranceConfig()) -> List[CheckResult]:
+def extension_checks() -> List[CheckResult]:
     grid = default_grid()
-    s = model_mod.model_closed_forms(1.0).livsic
-    S = characteristic_from_livsic(s, 0.5)
+    s = functools.cache(lambda: model_mod.model_closed_forms(1.0).livsic)
+    S = functools.cache(lambda: characteristic_from_livsic(s(), 0.5))
 
     def involution():
         worst = 0.0
         for kappa in (0.25, 0.5 + 0.3j, 0.9, -0.6j):
-            Sk = characteristic_from_livsic(s, kappa)
-            worst = max(worst, sup_deviation(characteristic_from_livsic(Sk, kappa), s, grid),
+            Sk = characteristic_from_livsic(s(), kappa)
+            worst = max(worst, sup_deviation(characteristic_from_livsic(Sk, kappa), s(), grid),
                         abs(extract_kappa(Sk) - kappa))
         return worst
 
     def rotated(theta):
-        return AnalyticFn(lambda zs: theta * S.evaluator(zs), FnKind.CHARACTERISTIC)
+        return AnalyticFn(lambda zs: theta * S().evaluator(zs), FnKind.CHARACTERISTIC)
 
     def verdicts():
         ok = (
-            class_C_check(s, cfg).verdict is ClassVerdict.CONSISTENT_WITH_C
-            and class_C_check(constant_fn(0.5), cfg).verdict is ClassVerdict.FAILS_AT_I
-            and class_C_check(cayley_probe(), cfg).verdict is ClassVerdict.FAILS_GROWTH
+            class_C_check(s()).verdict is ClassVerdict.CONSISTENT_WITH_C
+            and class_C_check(constant_fn(0.5)).verdict is ClassVerdict.FAILS_AT_I
+            and class_C_check(cayley_probe()).verdict is ClassVerdict.FAILS_GROWTH
         )
         return 0.0 if ok else 1.0
 
     return run_checks([
         ("involution-and-kappa-extraction", 1e-12, involution),
         ("reference-change-laws", 1e-12,
-         lambda: reference_rotation_defect(s, realize_herglotz(reference_measures()[1]),
-                                         (0.0, math.pi / 4, math.pi / 2, 2.5), grid.as_array())),
+         lambda: reference_rotation_defect(s(), realize_herglotz(reference_measures()[1]),
+                                         (0.0, math.pi / 4, math.pi / 2, 2.5), grid.points)),
         ("unimodular-closure", 1e-12,
-         lambda: max(abs(extract_kappa(rotated(theta)) - theta * extract_kappa(S))
+         lambda: max(abs(extract_kappa(rotated(theta)) - theta * extract_kappa(S()))
                      for theta in (1.0, 1j, complex(math.cos(2.1), math.sin(2.1))))),
         ("class-membership-verdicts", 0.5, verdicts),
     ])
 
 
-def coupling_checks(cfg: ToleranceConfig = ToleranceConfig()) -> List[CheckResult]:
+def coupling_checks() -> List[CheckResult]:
     grid = default_grid()
-    s1 = model_mod.model_closed_forms(0.5).livsic
-    s2 = model_mod.model_closed_forms(1.0).livsic
+    s1 = functools.cache(lambda: model_mod.model_closed_forms(0.5).livsic)
+    s2 = functools.cache(lambda: model_mod.model_closed_forms(1.0).livsic)
     pairs = ((0.3, 0.7), (0.5, 0.5), (0.25, 0.0))
     # one sweep feeds two checks; an error inside it fails both
-    chain = functools.cache(lambda: multiplication_chain_defects(s1, s2, pairs, grid, cfg))
+    chain = functools.cache(lambda: multiplication_chain_defects(s1(), s2(), pairs, grid))
 
     def angle_consistency():
         worst = 0.0
         for k1 in np.arange(0.0, 0.95, 0.1):
             for k2 in np.arange(0.0, 0.95, 0.1):
-                ang = coupling_angles(k1, k2, cfg)
+                ang = coupling_angles(k1, k2)
                 worst = max(worst, abs(math.sin(ang.beta) - k1 * math.sin(ang.alpha)))
                 if not ang.kappa2_is_zero:
                     worst = max(worst, abs(math.cos(ang.beta) - math.cos(ang.alpha) / k2))
@@ -368,29 +367,29 @@ def coupling_checks(cfg: ToleranceConfig = ToleranceConfig()) -> List[CheckResul
         return worst
 
     def collapse(angle, s):
-        return sup_deviation(couple_livsic(s1, s2, CouplingAngles(angle, angle)), s, grid)
+        return sup_deviation(couple_livsic(s1(), s2(), CouplingAngles(angle, angle)), s, grid)
 
     return run_checks([
         ("angle-consistency", 1e-14, angle_consistency),
         ("degenerate-angle-collapse", 1e-14,
-         lambda: max(collapse(0.0, s1), collapse(math.pi / 2, s2))),
+         lambda: max(collapse(0.0, s1()), collapse(math.pi / 2, s2()))),
         ("multiplication-chain", 1e-10,
          lambda: max(chain()[0],
-                     general_k_defect(s1, s2, [p + (0.37,) for p in pairs], grid, cfg))),
+                     general_k_defect(s1(), s2(), [p + (0.37,) for p in pairs], grid))),
         ("kappa-multiplicativity", 1e-12, lambda: chain()[1]),
         ("addition-normalization", 1e-14,
          lambda: addition_normalization_defect(
              *map(realize_herglotz, reference_measures()),
              (0.0, math.pi / 6, math.pi / 3, math.pi / 2))),
         ("class-preservation-at-i", 1e-14,
-         lambda: abs(couple_livsic(s1, s2, coupling_angles(0.4, 0.6, cfg))(1j))),
-        ("class-properties(i-iv)", cfg.identity_tol,
+         lambda: abs(couple_livsic(s1(), s2(), coupling_angles(0.4, 0.6))(1j))),
+        ("class-properties(i-iv)", IDENTITY_TOL,
          lambda: max(r.worst_deviation
-                     for r in verify_class_properties(bundled_corpus(), cfg, grid).results)),
+                     for r in verify_class_properties(bundled_corpus(), grid).results)),
     ])
 
 
-def model_checks(cfg: ToleranceConfig = ToleranceConfig()) -> List[CheckResult]:
+def model_checks() -> List[CheckResult]:
     from scipy.integrate import quad  # here, so that only verify-all pays for scipy
 
     grid = default_grid()
@@ -404,19 +403,19 @@ def model_checks(cfg: ToleranceConfig = ToleranceConfig()) -> List[CheckResult]:
         ("defect-element-norms", 1e-10,
          lambda: max(norm_defect(g(ell)) for ell in (0.5, 1.0, 2.0, 5.0)
                      for g in (model_mod.g_plus, model_mod.g_minus))),
-        ("oracle-vs-closed-form", cfg.quadrature_tol, lambda: oracle_deviation(ells, grid, cfg)),
+        ("oracle-vs-closed-form", QUADRATURE_TOL, lambda: oracle_deviation(ells, grid)),
         ("boundary-relations", 1e-12, lambda: boundary_relation_defect(ells)),
         ("interval-split", 1e-14,
          lambda: interval_split_defect(((2.0, 0.5), (1.0, 0.25), (3.0, 0.999)), grid)),
     ])
 
 
-def run_all(cfg: ToleranceConfig = ToleranceConfig()) -> Dict[str, List[CheckResult]]:
+def run_all() -> Dict[str, List[CheckResult]]:
     return {
-        "core": core_checks(cfg),
-        "moebius": moebius_checks(cfg),
-        "measure": measure_checks(cfg),
-        "extension": extension_checks(cfg),
-        "coupling": coupling_checks(cfg),
-        "model": model_checks(cfg),
+        "core": core_checks(),
+        "moebius": moebius_checks(),
+        "measure": measure_checks(),
+        "extension": extension_checks(),
+        "coupling": coupling_checks(),
+        "model": model_checks(),
     }

@@ -14,16 +14,16 @@ import time
 import numpy as np
 
 from livcalc import (
-    ClassVerdict, ToleranceConfig, add_weyl, class_C_check, default_grid, extract_kappa, min_imag,
+    ClassVerdict, add_weyl, class_C_check, default_grid, extract_kappa, min_imag,
     model_closed_forms, normalization_defect, realize_herglotz, sup_deviation,
     verify_class_properties,
 )
 from livcalc import verify
+from livcalc.core import IDENTITY_TOL, INVERSION_REL_TOL
 from livcalc.extension import cayley_probe
 from livcalc.verify import atom_measure, bundled_corpus, reference_measures
 
 GRID = default_grid()
-CFG = ToleranceConfig()
 KAPPA_SWEEP = (0.0, 0.25, 0.5, 0.75)
 S1 = model_closed_forms(0.5).livsic
 S2 = model_closed_forms(1.0).livsic
@@ -44,7 +44,7 @@ def chain_sweep():
     """Couple/transform/product sweep shared by criteria 1 and 2."""
     start = time.monotonic()
     pairs = [(k1, k2) for k1 in KAPPA_SWEEP for k2 in KAPPA_SWEEP]
-    worst_dev, worst_kappa = verify.multiplication_chain_defects(S1, S2, pairs, GRID, CFG)
+    worst_dev, worst_kappa = verify.multiplication_chain_defects(S1, S2, pairs, GRID)
     return worst_dev, worst_kappa, time.monotonic() - start
 
 
@@ -82,14 +82,14 @@ def test_criterion_4_general_k_identity():
     angle_pairs = ((0.25, 0.5), (0.5, 0.75), (0.75, 0.75), (0.5, 0.0))
     # mismatched and matched k
     sweep = [(k1, k2, k) for k1, k2 in angle_pairs for k in (0.0, 0.2, 0.37, 0.8, k1 * k2)]
-    worst = verify.general_k_defect(S1, S2, sweep, GRID, CFG)
+    worst = verify.general_k_defect(S1, S2, sweep, GRID)
     assert report(4, "general-k-identity", worst, 1e-10)
 
 
 def test_criterion_5_model_oracle():
     start = time.monotonic()
     ells = (0.5, 1.0, 2.0)
-    worst_quad = verify.oracle_deviation(ells, GRID, CFG)
+    worst_quad = verify.oracle_deviation(ells, GRID)
     worst_boundary = verify.boundary_relation_defect(ells)
     worst_kappa = max(
         abs(extract_kappa(model_closed_forms(ell).characteristic) - math.exp(-ell))
@@ -113,9 +113,9 @@ def test_criterion_6_interval_split():
 
 def test_criterion_7_measure_round_trip():
     models = reference_measures() + (atom_measure((1.0, 2.0)),)
-    worst_weight_rel, worst_loc = verify.measure_round_trip_defects(models, CFG)
+    worst_weight_rel, worst_loc = verify.measure_round_trip_defects(models)
     worst_defect = max(normalization_defect(mu) for mu in models)
-    ok = report(7, "measure-round-trip", worst_weight_rel, CFG.inversion_rel_tol,
+    ok = report(7, "measure-round-trip", worst_weight_rel, INVERSION_REL_TOL,
                 extra=f"location/spacing {worst_loc:.3g} < 1, defect {worst_defect:.3g} < 1e-14")
     assert ok
     assert worst_loc < 1.0
@@ -123,13 +123,13 @@ def test_criterion_7_measure_round_trip():
 
 
 def test_criterion_8_class_properties():
-    class_report = verify_class_properties(bundled_corpus(), CFG, GRID)
-    model_verdict = class_C_check(model_closed_forms(1.0).livsic, CFG).verdict
-    probe_verdict = class_C_check(cayley_probe(), CFG).verdict
+    class_report = verify_class_properties(bundled_corpus(), GRID)
+    model_verdict = class_C_check(model_closed_forms(1.0).livsic).verdict
+    probe_verdict = class_C_check(cayley_probe()).verdict
     verdicts_ok = (model_verdict is ClassVerdict.CONSISTENT_WITH_C
                    and probe_verdict is ClassVerdict.FAILS_GROWTH)
     worst = max(r.worst_deviation for r in class_report.results)
-    ok = report(8, "class-properties", worst, CFG.identity_tol,
+    ok = report(8, "class-properties", worst, IDENTITY_TOL,
                 extra=f"verdicts: model={model_verdict.value}, probe={probe_verdict.value}")
     assert ok
     assert class_report.all_passed

@@ -13,7 +13,6 @@ from livcalc import (
     OutOfRange,
     PoleEncountered,
     TaggedCharacteristic,
-    ToleranceConfig,
     add_weyl,
     characteristic_from_livsic,
     constant_fn,
@@ -34,7 +33,6 @@ from livcalc import (
 from livcalc.verify import bundled_corpus
 
 GRID = default_grid()
-CFG = ToleranceConfig()
 S_HALF = model_closed_forms(0.5).livsic
 S_ONE = model_closed_forms(1.0).livsic
 M_ORIGIN = realize_herglotz(BorelMeasureModel(((0.0, 1.0),)))
@@ -292,7 +290,7 @@ class TestMultiplicationChain:
 
 class TestVerifyClassProperties:
     def test_bundled_corpus_passes_all(self):
-        report = verify_class_properties(bundled_corpus(), CFG, GRID)
+        report = verify_class_properties(bundled_corpus(), GRID)
         assert report.all_passed
         names = [r.name for r in report.results]
         assert names == [

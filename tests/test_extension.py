@@ -11,7 +11,6 @@ from livcalc import (
     ClassVerdict,
     FnKind,
     NotContractive,
-    ToleranceConfig,
     characteristic_from_livsic,
     class_C_check,
     constant_fn,
@@ -27,7 +26,6 @@ from livcalc import (
 from livcalc.measure import BorelMeasureModel
 
 GRID = default_grid()
-CFG = ToleranceConfig()
 MODEL_ONE = model_closed_forms(1.0)
 PAIR_M = realize_herglotz(BorelMeasureModel(((1.0, 1.0), (-1.0, 1.0))))
 
@@ -158,19 +156,19 @@ class TestReferenceChangeWeyl:
 class TestClassCCheck:
     def test_interval_model_consistent(self):
         for ell in (0.5, 1.0, 2.0):
-            report = class_C_check(model_closed_forms(ell).livsic, CFG)
+            report = class_C_check(model_closed_forms(ell).livsic)
             assert report.verdict is ClassVerdict.CONSISTENT_WITH_C
             assert report.vanishes_at_i and report.ray_growth_passed
 
     def test_constant_fails_at_i(self):
-        report = class_C_check(constant_fn(0.5), CFG)
+        report = class_C_check(constant_fn(0.5))
         assert report.verdict is ClassVerdict.FAILS_AT_I
         assert not report.vanishes_at_i
 
     def test_cayley_blaschke_fails_growth(self):
         # z (s(z) - 1) tends to the bounded value -2i along every ray
         probe = AnalyticFn(lambda z: (z - 1j) / (z + 1j), FnKind.GENERIC, "cayley")
-        report = class_C_check(probe, CFG)
+        report = class_C_check(probe)
         assert report.verdict is ClassVerdict.FAILS_GROWTH
         assert report.vanishes_at_i and not report.ray_growth_passed
 
@@ -180,12 +178,12 @@ class TestClassCCheck:
         # class needs unbounded measures and the heuristic must reject this
         from livcalc import livsic_from_weyl
 
-        report = class_C_check(livsic_from_weyl(PAIR_M), CFG)
+        report = class_C_check(livsic_from_weyl(PAIR_M))
         assert report.verdict is ClassVerdict.FAILS_GROWTH
         assert report.vanishes_at_i
 
     def test_report_serializes_all_rays(self):
-        report = class_C_check(MODEL_ONE.livsic, CFG)
+        report = class_C_check(MODEL_ONE.livsic)
         payload = report.to_json()
         assert len(payload["ray_details"]) == 16 * 3
         assert payload["verdict"] == "ConsistentWithC"

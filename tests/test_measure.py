@@ -11,7 +11,6 @@ from livcalc import (
     FnKind,
     PoleEncountered,
     SampledDensity,
-    ToleranceConfig,
     WindowTooSmall,
     constant_fn,
     default_grid,
@@ -23,6 +22,7 @@ from livcalc import (
     realize_herglotz,
     stieltjes_invert,
 )
+from livcalc.core import INVERSION_REL_TOL
 
 GRID = default_grid()
 
@@ -87,7 +87,7 @@ class TestRealizeHerglotz:
 
     def test_vector_matches_scalar(self):
         M = realize_herglotz(PAIR_ATOMS)
-        zs = GRID.as_array()
+        zs = GRID.points
         np.testing.assert_allclose(
             evaluate_many(M, zs), np.array([M(z) for z in GRID]), rtol=0, atol=0
         )
@@ -184,7 +184,6 @@ class TestStieltjesInversion:
         assert abs(result.atoms[0].weight - 2.0) < 0.04
 
     def test_density_round_trip(self):
-        cfg = ToleranceConfig()
         dens = cauchy_density()
         mu = BorelMeasureModel((), dens)
         result = stieltjes_invert(
@@ -197,7 +196,7 @@ class TestStieltjesInversion:
         recovered = np.asarray(result.density.values)
         inner = np.abs(xs) <= 15.0  # away from the window edges
         rel = np.abs(recovered[inner] - truth[inner]) / truth[inner]
-        assert rel.max() < cfg.inversion_rel_tol
+        assert rel.max() < INVERSION_REL_TOL
 
     def test_atom_plus_density(self):
         mu = BorelMeasureModel(((0.0, 1.0),), cauchy_density())

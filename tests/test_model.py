@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from livcalc import (
     FnKind,
     QuadratureFailed,
-    ToleranceConfig,
     default_grid,
     g_minus,
     g_plus,
@@ -18,9 +17,9 @@ from livcalc import (
     split_interval_check,
 )
 from livcalc import oracle
+from livcalc.core import QUADRATURE_TOL
 
 GRID = default_grid()
-CFG = ToleranceConfig()
 
 
 class TestClosedForms:
@@ -100,15 +99,15 @@ class TestQuadratureOracle:
     def test_agreement_on_grid(self, ell):
         closed = model_closed_forms(ell).livsic
         worst = max(
-            abs(model_livsic_quadrature(ell, z, CFG) - closed(z)) for z in GRID
+            abs(model_livsic_quadrature(ell, z) - closed(z)) for z in GRID
         )
-        assert worst < CFG.quadrature_tol
+        assert worst < QUADRATURE_TOL
 
     @pytest.mark.parametrize("ell", [0.5, 1.0, 2.0])
     def test_agreement_on_grid_to_roundoff(self, ell):
         closed = model_closed_forms(ell).livsic
         worst = max(
-            abs(model_livsic_quadrature(ell, z, CFG) - closed(z)) for z in GRID
+            abs(model_livsic_quadrature(ell, z) - closed(z)) for z in GRID
         )
         assert worst < 1e-12
 
@@ -116,7 +115,7 @@ class TestQuadratureOracle:
         # the integrands turn through 1e4 radians on [0, 1]: about 5000 panels
         z = 1e4 + 1j
         closed = model_closed_forms(1.0).livsic
-        assert abs(model_livsic_quadrature(1.0, z, CFG) - closed(z)) < CFG.quadrature_tol
+        assert abs(model_livsic_quadrature(1.0, z) - closed(z)) < QUADRATURE_TOL
 
     def test_bit_identical_across_calls_and_processes(self):
         points = (2j, 3.0 + 1.5j, -4.5 + 0.1j, 1e4 + 1j)
@@ -154,7 +153,7 @@ class TestQuadratureOracle:
     def test_normalizer_past_expm1_overflow(self):
         # e^{2 ell} - 1 overflows a double from ell ~ 355 on
         closed = model_closed_forms(400.0).livsic
-        assert abs(model_livsic_quadrature(400.0, 0.5j) - closed(0.5j)) < CFG.quadrature_tol
+        assert abs(model_livsic_quadrature(400.0, 0.5j) - closed(0.5j)) < QUADRATURE_TOL
 
 
 class TestSplitInterval:

@@ -74,6 +74,27 @@ def test_broken_tag_is_a_failed_check(capsys, monkeypatch):
     assert failed == [("model", "interval-split", "inf")]
 
 
+def test_error_in_shared_input_fails_its_checks(capsys, monkeypatch):
+    # the closed forms feed several suites' shared inputs: a failure there
+    # fails the checks that use them, and the battery still reports all 26
+    def broken(ell):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(model_mod, "model_closed_forms", broken)
+    code = cli.main(["verify-all"])
+    captured = capsys.readouterr()
+    assert code == 1
+    report = json.loads(captured.out)
+    assert report["all_passed"] is False
+    suites = dict.fromkeys(suite for suite, _, _ in PINNED)  # the JSON keys are sorted
+    checks = [(suite, check) for suite in suites for check in report[suite]]
+    assert [(suite, check["name"]) for suite, check in checks] == [
+        (suite, name) for suite, name, _ in PINNED
+    ]
+    failed = [check for _, check in checks if not check["passed"]]
+    assert failed
+    assert all(check["worst_deviation"] == "inf" for check in failed)
+
 def test_benchmark_tracer_sees_every_suite(capsys):
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py")
