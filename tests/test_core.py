@@ -126,12 +126,14 @@ class TestToleranceConfig:
         assert cfg.kappa2_zero_threshold == 1e-12
         assert cfg.inversion_rel_tol == 0.02
 
-    def test_takes_no_arguments(self):
-        # the tolerances are pinned: none can be passed in or set
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, 1.0, 2.0])
+    def test_rejects_out_of_range(self, bad):
+        # the tolerances are pinned: no value can be passed in or set
         with pytest.raises(TypeError):
-            ToleranceConfig(identity_tol=0.5)
+            ToleranceConfig(identity_tol=bad)
         with pytest.raises(AttributeError):
-            ToleranceConfig().identity_tol = 0.5
+            ToleranceConfig().identity_tol = bad
+        assert ToleranceConfig().identity_tol == 1e-10
 
 
 class TestEvaluateOnGrid:
