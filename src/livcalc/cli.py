@@ -17,6 +17,7 @@ from typing import Optional
 
 from . import verify as verify_mod
 from .core import (
+    IDENTITY_TOL,
     EvaluationGrid,
     complex_to_json,
     constant_fn,
@@ -220,7 +221,6 @@ def cmd_model(args) -> int:
     return 0
 
 
-_COUPLE_TOL = 1e-10
 _FORMULA1_KS = (0.0, 0.2, 0.37, 0.8)
 
 
@@ -235,14 +235,14 @@ def cmd_couple(args) -> int:
     else:
         sweep = [pair + (k,) for k in _FORMULA1_KS]
         deviation = verify_mod.general_k_defect(s1, s2, sweep, grid)
-    passed = deviation < _COUPLE_TOL
+    passed = deviation < IDENTITY_TOL
     emit_json(
         {
             "check": args.check,
             "kappa1": fmt_float(args.kappa1),
             "kappa2": fmt_float(args.kappa2),
             "max_deviation": fmt_float(deviation),
-            "tolerance": fmt_float(_COUPLE_TOL),
+            "tolerance": fmt_float(IDENTITY_TOL),
             "pass": passed,
         }
     )

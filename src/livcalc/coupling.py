@@ -23,6 +23,7 @@ from .core import (
 )
 from .errors import OutOfRange, PoleEncountered
 from .extension import ensure_kappa, extract_kappa
+from .moebius import MoebiusMap
 
 _HALF_PI = math.pi / 2
 
@@ -134,7 +135,7 @@ def general_k_identity_defect(
     s = couple_livsic(s1, s2, angles)
     zs = grid.points
     v, v1, v2 = s(zs), s1(zs), s2(zs)
-    lhs = divide_off_pole(v - k, k * v - 1.0, 1e-14)
+    lhs = MoebiusMap.disk_automorphism(k).values(v)
     rhs = divide_off_pole(
         a1 * v1 + a2 * v2 - v1 * v2 - k, a2 * v1 + a1 * v2 - k * v1 * v2 - 1.0, 1e-14
     )

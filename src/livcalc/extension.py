@@ -13,9 +13,9 @@ from typing import List
 
 import numpy as np
 
-from .core import IDENTITY_TOL, AnalyticFn, FnKind, divide_off_pole, fmt_float
+from .core import IDENTITY_TOL, AnalyticFn, FnKind, fmt_float
 from .errors import NotContractive
-from .moebius import DET_THRESHOLD, MoebiusMap
+from .moebius import MoebiusMap
 
 
 def ensure_kappa(kappa: complex) -> complex:
@@ -42,18 +42,10 @@ def characteristic_from_livsic(s: AnalyticFn, kappa: complex) -> AnalyticFn:
     the underlying contractive one.  The output kind flips accordingly.
     """
     kappa = ensure_kappa(kappa)
-    kbar = kappa.conjugate()
     out_kind = FnKind.LIVSIC if s.kind is FnKind.CHARACTERISTIC else FnKind.CHARACTERISTIC
-
-    def evaluator(zs):
-        # conj(kappa) s(z) = 1 is impossible for |s| < 1, |kappa| < 1
-        v = s.evaluator(zs)
-        return divide_off_pole(v - kappa, kbar * v - 1.0, 1e-14)
-
-    return AnalyticFn(
-        evaluator=evaluator,
-        kind=out_kind,
-        label=f"diskauto[kappa={kappa}]({s.label})",
+    # conj(kappa) s(z) = 1 is impossible for |s| < 1, |kappa| < 1
+    return MoebiusMap.disk_automorphism(kappa).after(
+        s, out_kind, f"diskauto[kappa={kappa}]({s.label})"
     )
 
 
@@ -80,25 +72,13 @@ def reference_change_weyl(M: AnalyticFn, alpha: float) -> AnalyticFn:
     """Reference rotation acts by the half-plane map
     (cos a * M - sin a)/(sin a * M + cos a), which fixes the value i."""
     alpha = ensure_rotation(alpha)
-    rot = MoebiusMap.halfplane_rotation(alpha)
-    # the relative pole threshold of MoebiusMap.__call__
-    floor = DET_THRESHOLD * (abs(rot.c) + abs(rot.d))
-
-    def evaluator(zs):
-        w = M.evaluator(zs)
-        return divide_off_pole(rot.a * w + rot.b, rot.c * w + rot.d, floor)
-
-    return AnalyticFn(
-        evaluator=evaluator,
-        kind=M.kind,
-        label=f"rot[{alpha}]({M.label})",
-    )
+    return MoebiusMap.halfplane_rotation(alpha).after(M, M.kind, f"rot[{alpha}]({M.label})")
 
 
 def cayley_probe() -> AnalyticFn:
     """(z - i)/(z + i): contractive and zero at i, but bounded along every
     ray, so the growth condition of the class fails."""
-    return AnalyticFn(lambda zs: (zs - 1j) / (zs + 1j), FnKind.GENERIC, "cayley-probe")
+    return MoebiusMap.cayley().after(AnalyticFn(lambda zs: zs), FnKind.GENERIC, "cayley-probe")
 
 
 class ClassVerdict(enum.Enum):

@@ -23,8 +23,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .core import AnalyticFn, FnKind, divide_off_pole, evaluate_many, fmt_float
+from .core import AnalyticFn, FnKind, evaluate_many, fmt_float
 from .errors import EmptyMeasure, WindowTooSmall
+from .moebius import MoebiusMap
 
 
 @dataclass(frozen=True)
@@ -168,16 +169,9 @@ def livsic_from_weyl(M: AnalyticFn) -> AnalyticFn:
     """Cayley transform s = (M - i)/(M + i) of a Herglotz function."""
     if M.kind is not FnKind.HERGLOTZ:
         raise ValueError("livsic_from_weyl expects a Herglotz-kind function")
-
-    def evaluator(zs):
-        # M(z) = -i is impossible for genuine Herglotz input
-        w = M.evaluator(zs)
-        return divide_off_pole(w - 1j, w + 1j, 1e-14 * np.maximum(1.0, np.abs(w)))
-
-    return AnalyticFn(
-        evaluator=evaluator,
-        kind=FnKind.LIVSIC,
-        label=f"cayley({M.label})" if M.label else "cayley(M)",
+    # M(z) = -i is impossible for genuine Herglotz input
+    return MoebiusMap.cayley().after(
+        M, FnKind.LIVSIC, f"cayley({M.label})" if M.label else "cayley(M)"
     )
 
 
@@ -207,11 +201,6 @@ class InversionResult:
     atoms: tuple
     density: SampledDensity
     scan_spacing: float
-
-    def as_measure(self) -> BorelMeasureModel:
-        return BorelMeasureModel(
-            tuple((a.location, a.weight) for a in self.atoms), self.density
-        )
 
 
 def _extrapolate_to_zero(eps: np.ndarray, values: np.ndarray) -> np.ndarray:

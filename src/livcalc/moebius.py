@@ -1,11 +1,23 @@
 """Linear-fractional transformations: the Cayley transform, disk
-automorphisms, and the half-plane rotation subgroup."""
+automorphisms, and the half-plane rotation subgroup.
+
+This is the one implementation of each map and of its pole rule: the
+function-level bridges (``characteristic_from_livsic``, ``livsic_from_weyl``,
+``reference_change_weyl``, ``cayley_probe``, the general-k identity) compose
+with :meth:`MoebiusMap.after` or evaluate :meth:`MoebiusMap.values`.  The
+scalar :meth:`MoebiusMap.__call__` stays in Python-complex arithmetic: it is
+the reference the array path is checked against, and a point call through
+numpy costs more than ten times as much.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .core import AnalyticFn, FnKind, divide_off_pole
 from .errors import DegenerateMap, PoleEncountered
 
 DET_THRESHOLD = 1e-14
@@ -61,13 +73,26 @@ class MoebiusMap:
 
     # --- action ----------------------------------------------------------
 
+    @property
+    def pole_floor(self) -> float:
+        """|c z + d| below this is a pole: the guard scales with the
+        coefficient magnitudes."""
+        return DET_THRESHOLD * (abs(self.c) + abs(self.d))
+
     def __call__(self, z: complex) -> complex:
         z = complex(z)
         den = self.c * z + self.d
-        # relative pole guard: scales with the coefficient magnitudes
-        if abs(den) < DET_THRESHOLD * (abs(self.c) + abs(self.d)):
+        if abs(den) < self.pole_floor:
             raise PoleEncountered(f"Moebius pole near z = {z}")
         return (self.a * z + self.b) / den
+
+    def values(self, w: np.ndarray) -> np.ndarray:
+        """The map over an array, NaN at a pole (see ``divide_off_pole``)."""
+        return divide_off_pole(self.a * w + self.b, self.c * w + self.d, self.pole_floor)
+
+    def after(self, f: AnalyticFn, kind: FnKind, label: str) -> AnalyticFn:
+        """The composition z -> self(f(z)) as an analytic function."""
+        return AnalyticFn(lambda zs: self.values(f.evaluator(zs)), kind, label)
 
     def compose(self, other: "MoebiusMap") -> "MoebiusMap":
         """Matrix product: (m1.compose(m2))(z) == m1(m2(z))."""

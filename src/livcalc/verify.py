@@ -279,7 +279,8 @@ def moebius_checks() -> List[CheckResult]:
         pairs.append((kappa, w))
     alphas = np.linspace(0.0, math.pi, 16, endpoint=False)
     return run_checks([
-        ("cayley-contracts-halfplane", 1e-12, lambda: max(abs(K(z)) for z in grid) - 1.0),
+        ("cayley-contracts-halfplane", 1e-12,
+         lambda: max(0.0, max(abs(K(z)) for z in grid) - 1.0)),
         ("cayley-round-trip", 1e-12, lambda: cayley_round_trip_defect(grid)),
         ("disk-automorphism-involution", 1e-12, lambda: disk_involution_defect(pairs)),
         ("rotation-fixes-i", 1e-15,

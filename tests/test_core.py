@@ -33,6 +33,7 @@ from livcalc import (
     sup_deviation,
 )
 from livcalc.core import complex_from_json, complex_to_json, grid_from_json, grid_to_json
+from livcalc.extension import cayley_probe
 
 GRID = default_grid()
 
@@ -65,6 +66,7 @@ def constructed_functions():
         "multiply_characteristic": multiply_characteristic(S1, S2).fn,
         "reference_change_livsic": reference_change_livsic(s_half, 0.4),
         "reference_change_weyl": reference_change_weyl(with_density, 0.4),
+        "cayley_probe": cayley_probe(),
     }
 
 

@@ -216,13 +216,6 @@ class TestStieltjesInversion:
         with pytest.raises(ValueError):
             stieltjes_invert(realize_herglotz(ORIGIN_ATOM), (-2.0, 2.0), (1e-3, 1e-2))
 
-    def test_as_measure(self):
-        result = stieltjes_invert(
-            realize_herglotz(PAIR_ATOMS), (-2.0, 2.0), (1e-2, 1e-3, 1e-4)
-        )
-        mu = result.as_measure()
-        assert normalization_defect(mu) < 0.05
-
 
 atom_lattices = st.lists(
     st.sampled_from([round(-1.25 + 0.25 * k, 2) for k in range(11)]),

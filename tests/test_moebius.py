@@ -5,7 +5,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from livcalc import DegenerateMap, MoebiusMap, PoleEncountered, default_grid
+from livcalc import (
+    BorelMeasureModel,
+    DegenerateMap,
+    MoebiusMap,
+    PoleEncountered,
+    characteristic_from_livsic,
+    default_grid,
+    livsic_from_weyl,
+    model_closed_forms,
+    realize_herglotz,
+    reference_change_weyl,
+)
+from livcalc.extension import cayley_probe
 
 GRID = default_grid()
 
@@ -120,3 +132,32 @@ class TestEquality:
 
     def test_different_maps_not_equal(self):
         assert gap(MoebiusMap.cayley(), IDENTITY) > 0.1
+
+
+def _bridges():
+    """The library's Cayley, disk-automorphism and rotation routes, each as
+    (function-level bridge, its map, the inner function or None for z)."""
+    s = model_closed_forms(1.0).livsic
+    M = realize_herglotz(BorelMeasureModel(((1.0, 1.0), (-1.0, 1.0))))
+    cases = [
+        pytest.param(characteristic_from_livsic(s, kappa), MoebiusMap.disk_automorphism(kappa),
+                     s, id=f"characteristic_from_livsic[{kappa}]")
+        for kappa in (0.5 + 0.3j, -0.6j, 0.9)
+    ]
+    cases.append(pytest.param(livsic_from_weyl(M), MoebiusMap.cayley(), M, id="livsic_from_weyl"))
+    cases += [
+        pytest.param(reference_change_weyl(M, alpha), MoebiusMap.halfplane_rotation(alpha), M,
+                     id=f"reference_change_weyl[{alpha}]")
+        for alpha in (0.0, 0.4, 2.5)
+    ]
+    cases.append(pytest.param(cayley_probe(), MoebiusMap.cayley(), None, id="cayley_probe"))
+    return cases
+
+
+@pytest.mark.parametrize("bridge,moebius,inner", _bridges())
+def test_bridge_matches_scalar_reference(bridge, moebius, inner):
+    # the array route of each bridge against the scalar MoebiusMap.__call__
+    values = bridge(GRID.points)
+    for k, z in enumerate(GRID):
+        ref = moebius(z if inner is None else inner(z))
+        assert abs(values[k] - ref) <= 1e-15 * max(1.0, abs(ref)), z

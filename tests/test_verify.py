@@ -51,6 +51,19 @@ def test_checks_and_tolerances_are_pinned():
         assert tol <= pinned, (suite, name)
 
 
+def test_worst_deviations_are_nonnegative(capsys):
+    # a worst deviation is a distance or a clipped excess: a negative value
+    # reports a margin, not a deviation
+    assert cli.main(["verify-all"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    worst = [
+        (suite, check["name"], float(check["worst_deviation"]))
+        for suite, checks in report.items() if suite != "all_passed"
+        for check in checks
+    ]
+    assert [w for w in worst if not w[2] >= 0.0] == []
+
+
 def test_broken_tag_is_a_failed_check(capsys, monkeypatch):
     # a parameter tag off by 1e-6: the split's product tag no longer matches
     # its characteristic function at i, which raises inside the check
@@ -110,5 +123,8 @@ def test_benchmark_tracer_sees_every_suite(capsys):
     capsys.readouterr()
     assert code == 0
     assert tracer.counts["oracle.quadrature.calls"] == 1326
+    # the library's bridges evaluate MoebiusMap.values, not the counted
+    # scalar __call__, so the per-layer count stays comparable
+    assert tracer.counts["moebius.calls"] == 1742
     for suite in ("core", "moebius", "measure", "extension", "coupling", "model"):
         assert tracer.counts[f"verify.{suite}.calls"] == 1, suite
