@@ -224,8 +224,26 @@ def complex_to_json(z: complex) -> dict:
     return {"re": fmt_float(z.real), "im": fmt_float(z.imag)}
 
 
-def complex_from_json(obj: dict) -> complex:
-    return complex(float(obj["re"]), float(obj["im"]))
+def json_number(obj, key, where: str) -> float:
+    """``obj[key]`` as a float; a ValueError that names ``where`` and
+    ``key`` if the entry is missing or not a number."""
+    try:
+        return float(obj[key])
+    except (KeyError, IndexError, TypeError, ValueError):
+        raise ValueError(f"{where}: {key!r} is missing or not a number") from None
+
+
+def json_list(obj, key: str, where: str, default=None) -> list:
+    """``obj[key]``, or ``default`` where the key is absent; either must be
+    a list."""
+    value = obj.get(key, default) if isinstance(obj, dict) else None
+    if not isinstance(value, list):
+        raise ValueError(f"{where}: {key!r} is missing or not a list")
+    return value
+
+
+def complex_from_json(obj: dict, where: str = "complex value") -> complex:
+    return complex(json_number(obj, "re", where), json_number(obj, "im", where))
 
 
 def grid_to_json(grid: EvaluationGrid) -> dict:
@@ -236,5 +254,8 @@ def grid_to_json(grid: EvaluationGrid) -> dict:
 
 
 def grid_from_json(obj: dict) -> EvaluationGrid:
-    points = [complex_from_json(p) for p in obj["points"]]
-    return EvaluationGrid(points, obj.get("description", ""))
+    points = json_list(obj, "points", "grid")
+    return EvaluationGrid(
+        [complex_from_json(p, f"grid point {k}") for k, p in enumerate(points)],
+        obj.get("description", ""),
+    )

@@ -13,7 +13,7 @@ from typing import List
 
 import numpy as np
 
-from .core import IDENTITY_TOL, AnalyticFn, FnKind, fmt_float
+from .core import IDENTITY_TOL, AnalyticFn, FnKind, complex_to_json, fmt_float
 from .errors import NotContractive
 from .moebius import MoebiusMap
 
@@ -106,10 +106,7 @@ class ClassMembershipReport:
 
     def to_json(self) -> dict:
         return {
-            "value_at_i": {
-                "re": fmt_float(self.value_at_i.real),
-                "im": fmt_float(self.value_at_i.imag),
-            },
+            "value_at_i": complex_to_json(self.value_at_i),
             "vanishes_at_i": self.vanishes_at_i,
             "ray_growth_passed": self.ray_growth_passed,
             "verdict": self.verdict.value,

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .core import AnalyticFn, FnKind, evaluate_many, fmt_float
+from .core import AnalyticFn, FnKind, evaluate_many, fmt_float, json_list, json_number
 from .errors import EmptyMeasure, WindowTooSmall
 from .moebius import MoebiusMap
 
@@ -125,16 +125,19 @@ class BorelMeasureModel:
     @classmethod
     def from_json(cls, obj: dict) -> "BorelMeasureModel":
         atoms = tuple(
-            (float(a["location"]), float(a["weight"])) for a in obj.get("atoms", [])
+            (json_number(a, "location", f"atom {k}"), json_number(a, "weight", f"atom {k}"))
+            for k, a in enumerate(json_list(obj, "atoms", "measure model", default=[]))
         )
         dens = None
         raw = obj.get("density")
         if raw is not None:
+            values = json_list(raw, "values", "density")
             dens = SampledDensity(
-                float(raw["x_lo"]), float(raw["x_hi"]),
-                tuple(float(v) for v in raw["values"]),
+                json_number(raw, "x_lo", "density"), json_number(raw, "x_hi", "density"),
+                tuple(json_number(values, k, "density values") for k in range(len(values))),
             )
-            if "h" in raw and abs(dens.h - float(raw["h"])) > 1e-12 * max(1.0, dens.h):
+            h = json_number(raw, "h", "density") if "h" in raw else dens.h
+            if abs(dens.h - h) > 1e-12 * max(1.0, dens.h):
                 raise ValueError("density 'h' inconsistent with window and sample count")
         return cls(atoms, dens)
 

@@ -6,10 +6,12 @@ use, so that an error there fails the checks instead of the battery.
 The CLI exposes the whole battery as ``livcalc verify-all``; the acceptance
 tests drive the same checks with their own sweeps on top.
 
-An identity with more than one caller is written once, below the battery
-helpers, as a function of its sweep that returns its worst deviation(s):
-the suites call it with the battery's sweeps, ``tests/test_acceptance.py``
-with larger ones, and ``livcalc couple`` with the pair it is given.
+An identity with more than one caller is written once, as a function of
+its sweep that returns its worst deviation(s): below the battery helpers,
+or, for the class laws, in :mod:`livcalc.coupling` next to the operation
+it checks.  The suites call it with the battery's sweeps,
+``tests/test_acceptance.py`` with larger ones, and the CLI verbs with the
+input they are given.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .core import (
     constant_fn, default_grid, fmt_float, max_modulus, min_imag, sup_deviation,
 )
 from .coupling import (
-    CouplingAngles, TaggedCharacteristic, add_weyl, couple_livsic, coupling_angles,
+    CouplingAngles, TaggedCharacteristic, convexity_defects, couple_livsic, coupling_angles,
     general_k_identity_defect, multiply_characteristic, verify_class_properties,
 )
 from .errors import LivcalcError
@@ -142,7 +144,7 @@ def multiplication_chain_defects(
             TaggedCharacteristic(characteristic_from_livsic(s2, k2), k2),
         )
         worst_chain = max(worst_chain, sup_deviation(left, right.fn, grid))
-        worst_kappa = max(worst_kappa, abs(right.fn(1j) - k1 * k2))
+        worst_kappa = max(worst_kappa, right.tag_defect)
     return worst_chain, worst_kappa
 
 
@@ -156,11 +158,6 @@ def general_k_defect(
         general_k_identity_defect(k, s1, s2, coupling_angles(k1, k2), grid)
         for k1, k2, k in sweep
     )
-
-
-def addition_normalization_defect(M1: AnalyticFn, M2: AnalyticFn, alphas) -> float:
-    """Worst |M(i) - i| of the sums cos^2(alpha) M1 + sin^2(alpha) M2."""
-    return max(abs(add_weyl(M1, M2, alpha)(1j) - 1j) for alpha in alphas)
 
 
 def interval_split_defect(splits: Iterable[Tuple[float, float]], grid: EvaluationGrid) -> float:
@@ -379,14 +376,12 @@ def coupling_checks() -> List[CheckResult]:
                      general_k_defect(s1(), s2(), [p + (0.37,) for p in pairs], grid))),
         ("kappa-multiplicativity", 1e-12, lambda: chain()[1]),
         ("addition-normalization", 1e-14,
-         lambda: addition_normalization_defect(
-             *map(realize_herglotz, reference_measures()),
-             (0.0, math.pi / 6, math.pi / 3, math.pi / 2))),
+         lambda: convexity_defects(*map(realize_herglotz, reference_measures()),
+                                   (0.0, math.pi / 6, math.pi / 3, math.pi / 2), grid)[0]),
         ("class-preservation-at-i", 1e-14,
          lambda: abs(couple_livsic(s1(), s2(), coupling_angles(0.4, 0.6))(1j))),
         ("class-properties(i-iv)", IDENTITY_TOL,
-         lambda: max(r.worst_deviation
-                     for r in verify_class_properties(bundled_corpus(), grid).results)),
+         lambda: max(worst for _, worst in verify_class_properties(bundled_corpus(), grid))),
     ])
 
 

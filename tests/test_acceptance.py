@@ -1,8 +1,9 @@
 """Acceptance battery: one test per criterion, each printing a PASS/FAIL
 line with its worst deviation and pinned tolerance.
 
-The criteria call the identity checks of :mod:`livcalc.verify`, the same
-functions that ``livcalc verify-all`` runs, with larger sweeps.
+The criteria call the identity checks of :mod:`livcalc.verify` and the
+class laws of :mod:`livcalc.coupling`, the same functions that
+``livcalc verify-all`` runs, with larger sweeps.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see every line.
 """
@@ -14,12 +15,12 @@ import time
 import numpy as np
 
 from livcalc import (
-    ClassVerdict, add_weyl, class_C_check, default_grid, extract_kappa, min_imag,
-    model_closed_forms, normalization_defect, realize_herglotz, sup_deviation,
-    verify_class_properties,
+    ClassVerdict, add_weyl, class_C_check, default_grid, extract_kappa, model_closed_forms,
+    normalization_defect, realize_herglotz, sup_deviation, verify_class_properties,
 )
 from livcalc import verify
 from livcalc.core import IDENTITY_TOL, INVERSION_REL_TOL
+from livcalc.coupling import convexity_defects
 from livcalc.extension import cayley_probe
 from livcalc.verify import atom_measure, bundled_corpus, reference_measures
 
@@ -64,17 +65,16 @@ def test_criterion_2_kappa_multiplicativity():
 def test_criterion_3_addition_theorem():
     M1, M2 = (realize_herglotz(mu) for mu in reference_measures())
     alphas = (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
-    worst_norm = verify.addition_normalization_defect(M1, M2, alphas)
-    worst_herglotz = max(-min_imag(add_weyl(M1, M2, alpha), GRID) for alpha in alphas)
+    worst_norm, worst_herglotz = convexity_defects(M1, M2, alphas, GRID)
     endpoint = max(
         sup_deviation(add_weyl(M1, M2, 0.0), M1, GRID),
         sup_deviation(add_weyl(M1, M2, math.pi / 2), M2, GRID),
     )
     ok = report(3, "addition-theorem", worst_norm, 1e-14,
                 extra=f"endpoint collapse {endpoint:.3g} < 1e-15, "
-                f"min Im margin ok: {worst_herglotz <= 0.0}")
+                f"min Im margin ok: {worst_herglotz < 0.0}")
     assert ok
-    assert worst_herglotz <= 0.0  # strictly positive imaginary part on the grid
+    assert worst_herglotz < 0.0  # strictly positive imaginary part on the grid
     assert endpoint < 1e-15
 
 
@@ -123,16 +123,15 @@ def test_criterion_7_measure_round_trip():
 
 
 def test_criterion_8_class_properties():
-    class_report = verify_class_properties(bundled_corpus(), GRID)
+    laws = verify_class_properties(bundled_corpus(), GRID)
     model_verdict = class_C_check(model_closed_forms(1.0).livsic).verdict
     probe_verdict = class_C_check(cayley_probe()).verdict
     verdicts_ok = (model_verdict is ClassVerdict.CONSISTENT_WITH_C
                    and probe_verdict is ClassVerdict.FAILS_GROWTH)
-    worst = max(r.worst_deviation for r in class_report.results)
+    worst = max(deviation for _, deviation in laws)
     ok = report(8, "class-properties", worst, IDENTITY_TOL,
                 extra=f"verdicts: model={model_verdict.value}, probe={probe_verdict.value}")
     assert ok
-    assert class_report.all_passed
     assert verdicts_ok
 
 

@@ -310,6 +310,19 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv,content,entry", [
+        ("model --length 1 --grid file:{}", {}, "'points'"),
+        ("model --length 1 --grid file:{}", {"points": [{"re": 0, "im": 1}, 3]}, "point 1"),
+        ("couple --kappa1 0.5 --kappa2 0.5 --grid file:{}", {}, "'points'"),
+        ("measure --measure-file {}", {"atoms": [{"location": 0}]}, "'weight'"),
+    ], ids=["grid-no-points", "grid-bad-point", "couple-grid-no-points", "atom-no-weight"])
+    def test_malformed_input_file(self, capsys, tmp_path, argv, content, entry):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run_cli(capsys, *argv.format(path).split())
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and entry in err and "Traceback" not in err
+
 
 class TestColdStart:
     def test_pointwise_verb_does_not_import_scipy(self):

@@ -30,7 +30,8 @@ from livcalc import (
     sup_deviation,
     verify_class_properties,
 )
-from livcalc.verify import bundled_corpus
+from livcalc.core import IDENTITY_TOL
+from livcalc.verify import bundled_corpus, multiplication_chain_defects
 
 GRID = default_grid()
 S_HALF = model_closed_forms(0.5).livsic
@@ -218,6 +219,12 @@ class TestTaggedCharacteristic:
         with pytest.raises(ValueError):
             TaggedCharacteristic(S_ONE, 0.0)
 
+    def test_tag_defect_is_the_distance_at_i(self):
+        assert TaggedCharacteristic(characteristic_from_livsic(S_ONE, 0.5), 0.5).tag_defect == 0.0
+        probe = constant_fn(0.5, kind=FnKind.CHARACTERISTIC)
+        tagged = TaggedCharacteristic(probe, 0.5 + 1e-12)
+        assert tagged.tag_defect == abs(probe(1j) - (0.5 + 1e-12)) > 0.0
+
 
 class TestMultiplyCharacteristic:
     def test_exponential_tags_multiply(self):
@@ -248,14 +255,8 @@ class TestMultiplicationChain:
     @pytest.mark.parametrize("k1", [0.0, 0.25, 0.5, 0.75])
     @pytest.mark.parametrize("k2", [0.0, 0.25, 0.5, 0.75])
     def test_chain_identity(self, k1, k2):
-        ang = coupling_angles(k1, k2)
-        coupled = couple_livsic(S_HALF, S_ONE, ang)
-        left = characteristic_from_livsic(coupled, k1 * k2)
-        t1 = TaggedCharacteristic(characteristic_from_livsic(S_HALF, k1), k1)
-        t2 = TaggedCharacteristic(characteristic_from_livsic(S_ONE, k2), k2)
-        right = multiply_characteristic(t1, t2)
-        assert sup_deviation(left, right.fn, GRID) < 1e-10
-        assert abs(extract_kappa(right.fn) - k1 * k2) < 1e-12
+        chain, kappa = multiplication_chain_defects(S_HALF, S_ONE, [(k1, k2)], GRID)
+        assert chain < 1e-10 and kappa < 1e-12
 
     def test_kappa_modulus_multiplicative(self):
         t1 = TaggedCharacteristic(characteristic_from_livsic(S_ONE, 0.5j), 0.5j)
@@ -290,13 +291,15 @@ class TestMultiplicationChain:
 
 class TestVerifyClassProperties:
     def test_bundled_corpus_passes_all(self):
-        report = verify_class_properties(bundled_corpus(), GRID)
-        assert report.all_passed
-        names = [r.name for r in report.results]
-        assert names == [
-            "herglotz-convexity",
-            "characteristic-multiplication",
-            "vanishing-ideal",
+        laws = verify_class_properties(bundled_corpus(), GRID)
+        assert [name for name, _ in laws] == [
+            "herglotz-convexity", "characteristic-multiplication", "vanishing-ideal",
             "livsic-multiplication",
         ]
-        assert all(r.pairs_checked > 0 for r in report.results)
+        assert all(worst < IDENTITY_TOL for _, worst in laws)
+
+    def test_law_without_sample_pair_raises(self):
+        # a sweep over no pair would read a vacuous 0
+        corpus = [f for f in bundled_corpus() if f.kind is not FnKind.HERGLOTZ]
+        with pytest.raises(ValueError, match="herglotz-convexity"):
+            verify_class_properties(corpus, GRID)

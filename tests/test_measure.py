@@ -167,15 +167,6 @@ class TestStieltjesInversion:
         assert abs(atom.weight - 1.0) < 0.02
         assert atom.residual < 1e-6
 
-    def test_pair_round_trip(self):
-        result = stieltjes_invert(
-            realize_herglotz(PAIR_ATOMS), (-2.0, 2.0), (1e-2, 1e-3, 1e-4)
-        )
-        assert len(result.atoms) == 2
-        for atom, loc in zip(result.atoms, (-1.0, 1.0)):
-            assert abs(atom.location - loc) < result.scan_spacing
-            assert abs(atom.weight - 1.0) < 0.02
-
     def test_heavy_atom_round_trip(self):
         result = stieltjes_invert(
             realize_herglotz(HEAVY_ATOM), (-2.0, 2.0), (1e-2, 1e-3, 1e-4)

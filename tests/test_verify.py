@@ -5,7 +5,7 @@ import importlib.util
 import json
 import os
 
-from livcalc import cli, verify
+from livcalc import FnKind, cli, verify
 from livcalc import model as model_mod
 from livcalc.model import ModelFunctions
 
@@ -42,6 +42,18 @@ PINNED = (
 )
 
 
+def failed_checks(capsys):
+    """(suite, check, worst deviation) of each failed check that verify-all
+    printed."""
+    report = json.loads(capsys.readouterr().out)
+    assert report["all_passed"] is False
+    return [
+        (suite, check["name"], check["worst_deviation"])
+        for suite, checks in report.items() if suite != "all_passed"
+        for check in checks if not check["passed"]
+    ]
+
+
 def test_checks_and_tolerances_are_pinned():
     results = verify.run_all()
     got = [(suite, check.name) for suite, checks in results.items() for check in checks]
@@ -74,17 +86,8 @@ def test_broken_tag_is_a_failed_check(capsys, monkeypatch):
         return ModelFunctions(forms.livsic, forms.characteristic, forms.kappa * (1 + 1e-6))
 
     monkeypatch.setattr(model_mod, "model_closed_forms", off_tag)
-    code = cli.main(["verify-all"])
-    captured = capsys.readouterr()
-    assert code == 1
-    report = json.loads(captured.out)
-    assert report["all_passed"] is False
-    failed = [
-        (suite, check["name"], check["worst_deviation"])
-        for suite, checks in report.items() if suite != "all_passed"
-        for check in checks if not check["passed"]
-    ]
-    assert failed == [("model", "interval-split", "inf")]
+    assert cli.main(["verify-all"]) == 1
+    assert failed_checks(capsys) == [("model", "interval-split", "inf")]
 
 
 def test_error_in_shared_input_fails_its_checks(capsys, monkeypatch):
@@ -94,10 +97,8 @@ def test_error_in_shared_input_fails_its_checks(capsys, monkeypatch):
         raise ValueError("planted")
 
     monkeypatch.setattr(model_mod, "model_closed_forms", broken)
-    code = cli.main(["verify-all"])
-    captured = capsys.readouterr()
-    assert code == 1
-    report = json.loads(captured.out)
+    assert cli.main(["verify-all"]) == 1
+    report = json.loads(capsys.readouterr().out)
     assert report["all_passed"] is False
     suites = dict.fromkeys(suite for suite, _, _ in PINNED)  # the JSON keys are sorted
     checks = [(suite, check) for suite in suites for check in report[suite]]
@@ -107,6 +108,15 @@ def test_error_in_shared_input_fails_its_checks(capsys, monkeypatch):
     failed = [check for _, check in checks if not check["passed"]]
     assert failed
     assert all(check["worst_deviation"] == "inf" for check in failed)
+
+
+def test_class_law_without_samples_fails_its_check(capsys, monkeypatch):
+    # a corpus without Herglotz samples leaves the convexity law unverified
+    corpus = [f for f in verify.bundled_corpus() if f.kind is not FnKind.HERGLOTZ]
+    monkeypatch.setattr(verify, "bundled_corpus", lambda: corpus)
+    assert cli.main(["verify-all"]) == 1
+    assert failed_checks(capsys) == [("coupling", "class-properties(i-iv)", "inf")]
+
 
 def test_benchmark_tracer_sees_every_suite(capsys):
     spec = importlib.util.spec_from_file_location(
@@ -126,5 +136,7 @@ def test_benchmark_tracer_sees_every_suite(capsys):
     # the library's bridges evaluate MoebiusMap.values, not the counted
     # scalar __call__, so the per-layer count stays comparable
     assert tracer.counts["moebius.calls"] == 1742
+    # every AnalyticFn call, point or array: a change that adds calls shows here
+    assert tracer.counts["core.scalar_calls"] == 202
     for suite in ("core", "moebius", "measure", "extension", "coupling", "model"):
         assert tracer.counts[f"verify.{suite}.calls"] == 1, suite
