@@ -181,12 +181,104 @@ def livsic_from_weyl(M: AnalyticFn) -> AnalyticFn:
 # --- Stieltjes inversion ------------------------------------------------
 
 
-def minimize_scalar(*args, **kwargs):
-    """``scipy.optimize.minimize_scalar``, imported on first use: scipy is
-    the slowest import in the package and only inversion needs it here."""
-    from scipy.optimize import minimize_scalar as scipy_minimize_scalar
+@dataclass(frozen=True)
+class BoundedMinimum:
+    x: float
+    #: evaluations of ``func`` made, the first one included
+    nfev: int
 
-    return scipy_minimize_scalar(*args, **kwargs)
+
+def minimize_scalar(func, bounds, xatol: float) -> BoundedMinimum:
+    """Minimize ``func`` over the closed interval ``bounds`` to absolute
+    tolerance ``xatol`` by Brent's bounded method: golden-section steps,
+    replaced by parabolic interpolation where the parabola's step is
+    acceptable (R. P. Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 5).
+
+    A step-for-step port of ``scipy.optimize.minimize_scalar(method=
+    "bounded")`` with its default 500-evaluation budget: for the same
+    ``func``, ``bounds`` and ``xatol`` it returns the same ``x`` and
+    ``nfev`` bits (the tests compare the two).  Written here so inversion
+    does not import scipy.
+    """
+    x1, x2 = (float(v) for v in bounds)
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise ValueError(f"bounds ({x1}, {x2}) must be finite")
+    if x1 > x2:
+        raise ValueError(f"lower bound {x1} exceeds upper bound {x2}")
+
+    def sign(v):
+        # numpy's sign with 0 mapped to +1, as the scipy step does
+        return -1.0 if v < 0.0 else 1.0
+
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        parabolic = False
+        if abs(e) > tol1:
+            # parabola through the three best points; its step p / q is
+            # taken when it is inside the bracket and shorter than half the
+            # step before last
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            parabolic = abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf)
+            if parabolic:
+                rat = p / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * sign(xm - xf)
+        if not parabolic:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+
+        x = xf + sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+
+    return BoundedMinimum(float(xf), num)
 
 
 @dataclass(frozen=True)
@@ -245,11 +337,11 @@ def stieltjes_invert(
     if M.kind is not FnKind.HERGLOTZ:
         raise ValueError("stieltjes_invert expects a Herglotz-kind function")
     eps = np.asarray(list(eps_schedule), dtype=np.float64)
-    if len(eps) < 2 or np.any(eps <= 0.0) or np.any(np.diff(eps) >= 0.0):
-        raise ValueError("eps_schedule must be >= 2 strictly decreasing positive reals")
+    if len(eps) < 2 or not np.all(np.isfinite(eps) & (eps > 0.0)) or np.any(np.diff(eps) >= 0.0):
+        raise ValueError("eps_schedule must be >= 2 strictly decreasing finite positive reals")
     x_lo, x_hi = float(window[0]), float(window[1])
-    if not x_hi > x_lo:
-        raise ValueError("window must satisfy x_hi > x_lo")
+    if not (math.isfinite(x_lo) and math.isfinite(x_hi) and x_hi > x_lo):
+        raise ValueError(f"window {x_lo!r}:{x_hi!r} must be finite with lo < hi")
     if n_scan < 5 or n_scan % 2 == 0:
         raise ValueError("n_scan must be odd and >= 5")
 
@@ -279,8 +371,7 @@ def stieltjes_invert(
         refined = minimize_scalar(
             lambda x: -evaluate_many(M, np.array([x + 1j * e_min]))[0].imag,
             bounds=bracket,
-            method="bounded",
-            options={"xatol": 1e-13},
+            xatol=1e-13,
         )
         loc = float(refined.x)
         mass = np.array(

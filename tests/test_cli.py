@@ -226,6 +226,16 @@ class TestMeasureVerb:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("window", ["-inf:2", "-2:inf"])
+    def test_non_finite_window_is_usage_error(self, window):
+        done = run_cold(
+            "-m", "livcalc.cli", "measure", "--atoms=1:1,-1:1", "--invert", f"--window={window}"
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        # one line naming the window: no traceback, no numpy warning
+        assert done.stderr.startswith("error: window") and "Traceback" not in done.stderr
+        assert len(done.stderr.splitlines()) == 1
+
     def test_atoms_and_file_conflict(self, capsys):
         code, _, _ = run_cli(capsys, "measure")
         assert code == 2
@@ -325,11 +335,20 @@ class TestUsageErrors:
 
 
 class TestColdStart:
-    def test_pointwise_verb_does_not_import_scipy(self):
+    #: one argv per verb; only verify-all may import scipy
+    @pytest.mark.parametrize("argv", [
+        "model --length 1 --eval 0+2i --oracle",
+        "multiply --kappa1 0.5 --kappa2 0.3",
+        "couple --kappa1 0.5 --kappa2 0.5 --check nunu",
+        "add --alpha 0",
+        "measure --atoms=1:1,-1:1 --invert",
+        "check-class --length 1",
+    ], ids=lambda argv: argv.split()[0])
+    def test_pointwise_verb_does_not_import_scipy(self, argv):
         script = (
             "import sys\n"
             "import livcalc.cli\n"
-            "code = livcalc.cli.main(['model', '--length', '1', '--eval', '0+2i', '--oracle'])\n"
+            f"code = livcalc.cli.main({argv.split()!r})\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), code)\n"
         )
         done = run_cold("-c", script)

@@ -22,13 +22,18 @@ from livcalc import (
     realize_herglotz,
     stieltjes_invert,
 )
+from livcalc import measure
 from livcalc.core import INVERSION_REL_TOL
+from livcalc.measure import BoundedMinimum, minimize_scalar
 
 GRID = default_grid()
 
 ORIGIN_ATOM = BorelMeasureModel(((0.0, 1.0),))
 PAIR_ATOMS = BorelMeasureModel(((1.0, 1.0), (-1.0, 1.0)))
 HEAVY_ATOM = BorelMeasureModel(((1.0, 2.0),))
+#: neither location lies on the 2001-point scan lattice of [-2, 2]
+OFF_LATTICE_PAIR = BorelMeasureModel(((0.7003, 1.0), (-1.2345, 0.8)))
+ATOM_SCHEDULE = (1e-2, 1e-3, 1e-4)
 
 
 def cauchy_density(x_lo=-20.0, x_hi=20.0, n=2001):
@@ -197,6 +202,28 @@ class TestStieltjesInversion:
         assert len(result.atoms) == 1
         assert abs(result.atoms[0].weight - 1.0) < 0.02
 
+    def test_off_lattice_pair_round_trip(self):
+        # the scan alone places each atom within half a lattice spacing
+        # (1e-3); only the peak refinement brings it within 1e-6
+        assert_recovers_off_lattice_pair(invert_off_lattice_pair())
+
+    def test_off_lattice_round_trip_needs_the_refinement(self, monkeypatch):
+        # planted: a "refinement" that returns the bracket midpoint, the
+        # scan lattice point, without iterating
+        monkeypatch.setattr(
+            measure, "minimize_scalar",
+            lambda func, bounds, xatol: BoundedMinimum(0.5 * (bounds[0] + bounds[1]), 1),
+        )
+        result = invert_off_lattice_pair()
+        assert len(result.atoms) == 0
+        with pytest.raises(AssertionError):
+            assert_recovers_off_lattice_pair(result)
+
+    @pytest.mark.parametrize("window", [(-math.inf, 2.0), (-2.0, math.inf), (math.nan, 2.0)])
+    def test_rejects_non_finite_window(self, window):
+        with pytest.raises(ValueError, match="window"):
+            stieltjes_invert(realize_herglotz(ORIGIN_ATOM), window, ATOM_SCHEDULE)
+
     def test_window_leak_detected(self):
         with pytest.raises(WindowTooSmall):
             stieltjes_invert(
@@ -206,6 +233,76 @@ class TestStieltjesInversion:
     def test_requires_decreasing_schedule(self):
         with pytest.raises(ValueError):
             stieltjes_invert(realize_herglotz(ORIGIN_ATOM), (-2.0, 2.0), (1e-3, 1e-2))
+
+    @pytest.mark.parametrize("schedule", [(1e-2, math.nan), (math.inf, 1e-2)])
+    def test_rejects_non_finite_schedule(self, schedule):
+        with pytest.raises(ValueError, match="eps_schedule"):
+            stieltjes_invert(realize_herglotz(ORIGIN_ATOM), (-2.0, 2.0), schedule)
+
+
+def invert_off_lattice_pair():
+    return stieltjes_invert(realize_herglotz(OFF_LATTICE_PAIR), (-2.0, 2.0), ATOM_SCHEDULE)
+
+
+def assert_recovers_off_lattice_pair(result):
+    assert len(result.atoms) == 2
+    for got, (loc, w) in zip(result.atoms, sorted(OFF_LATTICE_PAIR.atoms)):
+        assert abs(got.location - loc) < 1e-6
+        assert abs(got.weight - w) < INVERSION_REL_TOL * w
+
+
+def scipy_bounded(func, bounds, xatol):
+    from scipy.optimize import minimize_scalar as scipy_minimize_scalar
+
+    return scipy_minimize_scalar(func, bounds=bounds, method="bounded", options={"xatol": xatol})
+
+
+def same_bits(ours, theirs):
+    return (ours.x.hex(), ours.nfev) == (float(theirs.x).hex(), int(theirs.nfev))
+
+
+class TestBoundedMinimizer:
+    def test_matches_scipy_on_every_inversion_refinement(self, monkeypatch):
+        refinements = []
+
+        def compared(func, bounds, xatol):
+            ours = minimize_scalar(func, bounds, xatol)
+            refinements.append(same_bits(ours, scipy_bounded(func, bounds, xatol)))
+            return ours
+
+        monkeypatch.setattr(measure, "minimize_scalar", compared)
+        for mu in (ORIGIN_ATOM, PAIR_ATOMS, HEAVY_ATOM, OFF_LATTICE_PAIR):
+            stieltjes_invert(realize_herglotz(mu), (-2.0, 2.0), ATOM_SCHEDULE)
+        for mu in (BorelMeasureModel((), cauchy_density()),
+                   BorelMeasureModel(((0.0, 1.0),), cauchy_density())):
+            stieltjes_invert(realize_herglotz(mu), (-20.0, 20.0), (0.4, 0.2, 0.1))
+        assert len(refinements) == 8
+        assert all(refinements)
+
+    def test_matches_scipy_on_seeded_brackets(self):
+        rng = np.random.default_rng(1310_8504)
+        shapes = (
+            lambda c: lambda x: (x - c) ** 2 + 0.25 * (x - c) ** 4,  # smooth
+            lambda c: lambda x: math.sin(7.0 * x + c) + 0.1 * x * x,  # oscillating
+            lambda c: lambda x: abs(x - c) + 0.3 * abs(x + 0.5 * c),  # kinked
+        )
+        mismatched = []
+        for k in range(1200):
+            lo = rng.uniform(-10.0, 10.0)
+            hi = lo + rng.uniform(1e-3, 5.0)
+            func = shapes[k % 3](rng.uniform(lo - 1.0, hi + 1.0))
+            xatol = 10.0 ** rng.uniform(-13.0, -5.0)
+            if not same_bits(minimize_scalar(func, (lo, hi), xatol),
+                             scipy_bounded(func, (lo, hi), xatol)):
+                mismatched.append((k, lo, hi, xatol))
+        assert mismatched == []
+
+    @pytest.mark.parametrize("bounds", [
+        (-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0), (1.0, 0.0),
+    ])
+    def test_rejects_non_finite_or_reversed_bounds(self, bounds):
+        with pytest.raises(ValueError):
+            minimize_scalar(lambda x: x * x, bounds, 1e-5)
 
 
 atom_lattices = st.lists(

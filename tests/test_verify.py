@@ -138,5 +138,9 @@ def test_benchmark_tracer_sees_every_suite(capsys):
     assert tracer.counts["moebius.calls"] == 1742
     # every AnalyticFn call, point or array: a change that adds calls shows here
     assert tracer.counts["core.scalar_calls"] == 202
+    # the inversion check's peak refinements: a tracer that loses the
+    # binding of measure.minimize_scalar, or its nfev, reads 0 here
+    assert tracer.counts["measure.refine.calls"] == 2
+    assert tracer.counts["measure.refine.nfev"] == 16
     for suite in ("core", "moebius", "measure", "extension", "coupling", "model"):
         assert tracer.counts[f"verify.{suite}.calls"] == 1, suite
