@@ -5,8 +5,8 @@ The inner loops that dominate runtime live here:
 * ``herglotz_eval`` -- evaluate an atoms-plus-sampled-density measure model
   at an array of complex points (the Stieltjes-inversion scans hammer this);
 * ``gauss_exp`` -- weighted sums of exp(b*t) over a node set on [0, 1] for
-  several exponents and several rules at once (the quadrature oracle's
-  composite Gauss-Legendre step);
+  one or several exponents and several weight columns at once (the
+  quadrature oracle's composite Gauss-Legendre step, one exponent per call);
 * ``simpson_weights`` -- the composite Simpson weights, used by sampled
   densities and by ``simpson_exp``, the composite Simpson sum of exp(a*x)
   on [0, L]: the oracle's former rule, kept as a reference kernel.
@@ -42,14 +42,17 @@ def herglotz_eval(locs, weights, dens_x, dens_w, zs) -> np.ndarray:
 
 def gauss_exp(b, nodes, weights) -> np.ndarray:
     """Sums of weights[:, r] * exp(b[k] * nodes) over the nodes, as a
-    (len(b), weights.shape[1]) matrix: one ``exp`` of the outer product and
-    one matrix product.
+    (len(b), weights.shape[1]) matrix, or a row of weights.shape[1] sums for
+    a scalar ``b``: one ``exp`` of b times the nodes, by broadcasting, and one
+    matrix product.
 
     With ``nodes`` on [0, 1] and one quadrature rule per column of
     ``weights`` (zero off that rule's nodes), entry (k, r) is rule r's
-    estimate of the integral of exp(b[k] t) over t in [0, 1].
+    estimate of the integral of exp(b[k] t) over t in [0, 1].  A column may
+    fold a real factor f(t) into its weights; it then estimates the integral
+    of f(t) exp(b[k] t).
     """
-    terms = np.outer(np.asarray(b, dtype=np.complex128), nodes)
+    terms = np.asarray(b, dtype=np.complex128)[..., None] * nodes
     np.exp(terms, out=terms)
     return terms @ weights
 

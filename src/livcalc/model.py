@@ -80,17 +80,26 @@ class DeficiencyElement:
         return complex(self.evaluator(x))
 
 
+def _normalizer(ell: float) -> float:
+    """sqrt(2)/sqrt(1 - e^{-2 ell}), the factor that gives g_+ and g_- unit
+    norm once each exponential is scaled to at most 1 on [0, ell]."""
+    return math.sqrt(2.0) / math.sqrt(-math.expm1(-2.0 * ell))
+
+
 def g_plus(ell: float) -> DeficiencyElement:
-    """g_+(x) = sqrt(2)/sqrt(e^{2 ell} - 1) * e^x, unit norm in L^2(0, ell)."""
+    """g_+(x) = sqrt(2)/sqrt(e^{2 ell} - 1) * e^x, unit norm in L^2(0, ell).
+
+    Evaluated as sqrt(2) e^{x - ell}/sqrt(1 - e^{-2 ell}), which does not
+    overflow at large ell."""
     ell = _require_positive_length(ell)
-    c = math.sqrt(2.0) / math.sqrt(math.expm1(2.0 * ell))
-    return DeficiencyElement(ell, lambda x: c * math.exp(x), f"g_plus[ell={ell}]")
+    c = _normalizer(ell)
+    return DeficiencyElement(ell, lambda x: c * math.exp(x - ell), f"g_plus[ell={ell}]")
 
 
 def g_minus(ell: float) -> DeficiencyElement:
     """g_-(x) = sqrt(2)/sqrt(1 - e^{-2 ell}) * e^{-x}, unit norm."""
     ell = _require_positive_length(ell)
-    c = math.sqrt(2.0) / math.sqrt(-math.expm1(-2.0 * ell))
+    c = _normalizer(ell)
     return DeficiencyElement(ell, lambda x: c * math.exp(-x), f"g_minus[ell={ell}]")
 
 

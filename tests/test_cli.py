@@ -335,7 +335,7 @@ class TestUsageErrors:
 
 
 class TestColdStart:
-    #: one argv per verb; only verify-all may import scipy
+    #: one argv per verb; no verb imports scipy
     @pytest.mark.parametrize("argv", [
         "model --length 1 --eval 0+2i --oracle",
         "multiply --kappa1 0.5 --kappa2 0.3",
@@ -343,6 +343,7 @@ class TestColdStart:
         "add --alpha 0",
         "measure --atoms=1:1,-1:1 --invert",
         "check-class --length 1",
+        "verify-all",
     ], ids=lambda argv: argv.split()[0])
     def test_pointwise_verb_does_not_import_scipy(self, argv):
         script = (

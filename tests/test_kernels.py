@@ -39,6 +39,10 @@ class TestGaussExp:
         got = _kernels.gauss_exp(b, nodes, weights)
         assert got.shape == (2, 1)
         np.testing.assert_allclose(got[:, 0], np.expm1(b) / b, rtol=1e-14)
+        # a scalar exponent gives one row, as the oracle calls it
+        row = _kernels.gauss_exp(b[1], nodes, weights)
+        assert row.shape == (1,)
+        np.testing.assert_allclose(row[0], np.expm1(b[1]) / b[1], rtol=1e-14)
 
 
 class TestSimpsonExp:

@@ -16,7 +16,7 @@ from livcalc import (
     model_livsic_quadrature,
     split_interval_check,
 )
-from livcalc import oracle
+from livcalc import oracle, verify
 from livcalc.core import QUADRATURE_TOL
 
 GRID = default_grid()
@@ -73,10 +73,17 @@ class TestDeficiencyElements:
         with pytest.raises(ValueError):
             g_plus(1.0)(1.5)
 
-    @pytest.mark.parametrize("ell", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("ell", [0.5, 1.0, 2.0, 400.0, 1000.0])
     def test_dissipative_boundary_relation(self, ell):
         gp, gm = g_plus(ell), g_minus(ell)
         assert abs(gp(0.0) - math.exp(-ell) * gm(0.0)) < 1e-12
+
+    @pytest.mark.parametrize("ell", [400.0, 1000.0])
+    def test_past_expm1_overflow(self, ell):
+        # e^{2 ell} - 1 overflows a double from ell ~ 355 on, e^ell from ~ 709
+        gp = g_plus(ell)
+        assert gp(ell) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert verify.norm_defect([gp, g_minus(ell)]) < 1e-10
 
     @pytest.mark.parametrize("ell", [0.5, 1.0, 2.0])
     def test_antiperiodic_difference(self, ell):

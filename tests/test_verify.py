@@ -5,7 +5,8 @@ import importlib.util
 import json
 import os
 
-from livcalc import FnKind, cli, verify
+from livcalc import FnKind, cli, oracle, verify
+from livcalc.core import default_grid
 from livcalc import model as model_mod
 from livcalc.model import ModelFunctions
 
@@ -108,6 +109,26 @@ def test_error_in_shared_input_fails_its_checks(capsys, monkeypatch):
     failed = [check for _, check in checks if not check["passed"]]
     assert failed
     assert all(check["worst_deviation"] == "inf" for check in failed)
+
+
+def test_wrong_normalizer_fails_only_the_norm_check(capsys, monkeypatch):
+    # g_+ and g_- share the normalizer, so the boundary relations still hold
+    normalizer = model_mod._normalizer
+    monkeypatch.setattr(model_mod, "_normalizer", lambda ell: 1.001 * normalizer(ell))
+    assert cli.main(["verify-all"]) == 1
+    [(suite, name, worst)] = failed_checks(capsys)
+    assert (suite, name) == ("model", "defect-element-norms")
+    assert 1e-10 < float(worst) < 1.0
+
+
+def test_warm_oracle_sweep_misses_no_cached_rule():
+    # the sweep's (ell, m) keys must fit the rule cache, or a warm battery
+    # rebuilds its rules on every run
+    grid = default_grid()
+    verify.oracle_deviation((0.5, 1.0, 2.0), grid)
+    misses = oracle._panel_rule.cache_info().misses
+    verify.oracle_deviation((0.5, 1.0, 2.0), grid)
+    assert oracle._panel_rule.cache_info().misses == misses
 
 
 def test_class_law_without_samples_fails_its_check(capsys, monkeypatch):
