@@ -128,7 +128,8 @@ class EvaluationGrid:
         outside = ~(pts.imag > 0.0) | ~np.isfinite(pts)
         if outside.any():
             require_upper(pts[np.argmax(outside)])
-        if np.unique(pts).size != pts.size:
+        ordered = np.sort(pts)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("grid points must be pairwise distinct")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -244,13 +245,6 @@ def json_list(obj, key: str, where: str, default=None) -> list:
 
 def complex_from_json(obj: dict, where: str = "complex value") -> complex:
     return complex(json_number(obj, "re", where), json_number(obj, "im", where))
-
-
-def grid_to_json(grid: EvaluationGrid) -> dict:
-    return {
-        "points": [complex_to_json(z) for z in grid],
-        "description": grid.description,
-    }
 
 
 def grid_from_json(obj: dict) -> EvaluationGrid:

@@ -158,6 +158,8 @@ def add_weyl(M1: AnalyticFn, M2: AnalyticFn, alpha: float) -> AnalyticFn:
         if m.kind is not FnKind.HERGLOTZ:
             raise ValueError(f"add_weyl expects Herglotz-kind inputs, {name} is {m.kind}")
     alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     p = math.cos(alpha) ** 2
     q = math.sin(alpha) ** 2
     return AnalyticFn(

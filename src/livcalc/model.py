@@ -28,8 +28,8 @@ class ModelFunctions:
 
 def _require_positive_length(ell: float) -> float:
     ell = float(ell)
-    if not ell > 0.0:
-        raise ValueError(f"interval length must be positive, got {ell}")
+    if not (ell > 0.0 and math.isfinite(ell)):
+        raise ValueError(f"interval length must be finite and positive, got {ell}")
     return ell
 
 

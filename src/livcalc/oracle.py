@@ -47,11 +47,31 @@ MAX_NODES = 2**18
 MAX_EXPONENT = 700.0
 
 
+#: (node, weight) of the 16-point Gauss-Legendre rule on [-1, 1] at its
+#: positive nodes, ascending.  The rule is symmetric, and these are the
+#: digits of numpy.polynomial.legendre.leggauss(16) to the last bit, so the
+#: runtime need not import numpy.polynomial.
+_LEGENDRE_HALF = (
+    (0.09501250983763744, 0.18945061045506864),
+    (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265),
+    (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407),
+    (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456),
+    (0.9894009349916499, 0.027152459411754176),
+)
+
+
 @functools.cache
 def _legendre():
-    from numpy.polynomial.legendre import leggauss  # here, so cold CLI verbs skip it
-
-    return leggauss(GAUSS_POINTS)
+    """Nodes (ascending) and weights of the GAUSS_POINTS-point rule on
+    [-1, 1], as read-only arrays."""
+    half = np.array(_LEGENDRE_HALF)
+    t = np.concatenate([-half[::-1, 0], half[:, 0]])
+    w = np.concatenate([half[::-1, 1], half[:, 1]])
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
 
 
 def composite_rule(panels: int):
@@ -123,8 +143,8 @@ def model_livsic_quadrature(ell: float, z: complex) -> complex:
     for the MAX_NODES budget (past about 1.09e4).
     """
     ell = float(ell)
-    if not ell > 0.0:
-        raise ValueError(f"interval length must be positive, got {ell}")
+    if not (ell > 0.0 and math.isfinite(ell)):
+        raise ValueError(f"interval length must be finite and positive, got {ell}")
     z = require_upper(z)
     tol = QUADRATURE_TOL / 10.0
 

@@ -16,6 +16,7 @@ input they are given.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -204,6 +205,26 @@ def boundary_relation_defect(ells: Iterable[float]) -> float:
     return worst
 
 
+#: The real root of x^5 = x + 1; its powers 1/g, ..., 1/g^4 step the
+#: four-dimensional Kronecker sequence of :func:`disk_pairs`.
+_GOLDEN_4 = 1.1673039782614187
+
+
+def disk_pairs(count: int) -> List[Tuple[complex, complex]]:
+    """``count`` (kappa, w) pairs in the disk of radius 0.95, in polar form
+    from the Kronecker sequence u_j = frac(1/2 + j (1/g, ..., 1/g^4)): the
+    moduli 0.95 u_1 and 0.95 u_3, the arguments 2 pi u_2 and 2 pi u_4.
+    Evenly spread over the moduli and the whole circle, and deterministic
+    without a random generator."""
+    steps = [_GOLDEN_4 ** -k for k in range(1, 5)]
+    pairs = []
+    for j in range(1, count + 1):
+        r1, t1, r2, t2 = ((0.5 + j * step) % 1.0 for step in steps)
+        pairs.append((cmath.rect(0.95 * r1, 2.0 * math.pi * t1),
+                      cmath.rect(0.95 * r2, 2.0 * math.pi * t2)))
+    return pairs
+
+
 def disk_involution_defect(pairs: Iterable[Tuple[complex, complex]]) -> float:
     """Worst |T(T(w)) - w| of the disk automorphism T at kappa over the
     (kappa, w) pairs."""
@@ -222,15 +243,22 @@ def cayley_round_trip_defect(zs: Iterable[complex]) -> float:
 
 def reference_rotation_defect(s: AnalyticFn, M: AnalyticFn, alphas, zs: np.ndarray) -> float:
     """The reference-change laws over the rotation angles: |s| unchanged
-    at the points ``zs``, and the Herglotz value i at i kept."""
+    at the points ``zs``, the Herglotz value i at i kept, and the two
+    routes from M to a rotated Livsic function agreeing at ``zs``:
+    rotating M and then taking its Livsic function gives the Livsic
+    function of M rotated."""
     modulus = np.abs(s(zs))
+    s_of_M = livsic_from_weyl(M)
     worst = 0.0
     for alpha in alphas:
         rotated = np.abs(reference_change_livsic(s, alpha)(zs))
+        M_rotated = reference_change_weyl(M, alpha)
         worst = max(
             worst,
             float(np.max(np.abs(rotated - modulus))),
-            abs(reference_change_weyl(M, alpha)(1j) - 1j),
+            abs(M_rotated(1j) - 1j),
+            float(np.max(np.abs(livsic_from_weyl(M_rotated)(zs)
+                                - reference_change_livsic(s_of_M, alpha)(zs)))),
         )
     return worst
 
@@ -282,12 +310,7 @@ def core_checks() -> List[CheckResult]:
 def moebius_checks() -> List[CheckResult]:
     grid = default_grid()
     K = MoebiusMap.cayley()
-    rng = np.random.default_rng(7)
-    pairs = []
-    for _ in range(200):
-        kappa = 0.95 * rng.uniform(0, 1) * np.exp(2j * math.pi * rng.uniform(0, 1))
-        w = 0.95 * rng.uniform(0, 1) * np.exp(2j * math.pi * rng.uniform(0, 1))
-        pairs.append((kappa, w))
+    pairs = disk_pairs(200)
     alphas = np.linspace(0.0, math.pi, 16, endpoint=False)
     return run_checks([
         ("cayley-contracts-halfplane", 1e-12,

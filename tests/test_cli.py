@@ -333,9 +333,36 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and entry in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,name", [
+        ("model --length inf --eval 0+1i", "interval length"),
+        ("model --length inf --grid default", "interval length"),
+        ("couple --kappa1 0.5 --kappa2 0.5 --length inf", "interval length"),
+        ("check-class --length inf", "interval length"),
+        ("add --alpha inf", "alpha"),
+        ("add --alpha=-inf", "alpha"),
+        ("add --alpha nan", "alpha"),
+    ], ids=["model-eval", "model-grid", "couple", "check-class", "add-inf", "add-minus-inf",
+            "add-nan"])
+    def test_non_finite_parameter_is_usage_error(self, argv, name):
+        done = run_cold("-m", "livcalc.cli", *argv.split())
+        assert (done.returncode, done.stdout) == (2, "")
+        # one line naming the parameter, not a pole or a math domain error
+        assert done.stderr.startswith(f"error: {name} must be finite")
+        assert len(done.stderr.splitlines()) == 1 and "Traceback" not in done.stderr
+
+
+#: Prints the sorted names of the loaded modules that livcalc's runtime must
+#: not need: scipy, and the numpy subpackages numpy loads only on first use.
+_PRINT_FOOTPRINT = (
+    "print(sorted(m for m in sys.modules\n"
+    "             if m.split('.')[0] == 'scipy' or m.split('.')[:2] in\n"
+    "             (['numpy', 'random'], ['numpy', 'ma'], ['numpy', 'polynomial'])))"
+)
+
 
 class TestColdStart:
-    #: one argv per verb; no verb imports scipy
+    #: one argv per verb; no verb imports scipy, numpy.random, numpy.ma or
+    #: numpy.polynomial
     @pytest.mark.parametrize("argv", [
         "model --length 1 --eval 0+2i --oracle",
         "multiply --kappa1 0.5 --kappa2 0.3",
@@ -350,20 +377,27 @@ class TestColdStart:
             "import sys\n"
             "import livcalc.cli\n"
             f"code = livcalc.cli.main({argv.split()!r})\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), code)\n"
+            "print(code)\n"
+            + _PRINT_FOOTPRINT
         )
         done = run_cold("-c", script)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip().splitlines()[-1] == "[] 0"
+        assert done.stdout.strip().splitlines()[-2:] == ["0", "[]"]
 
-    def test_cli_import_loads_neither_scipy_nor_numpy_polynomial(self):
+    def test_footprint_probe_sees_each_subpackage(self):
         script = (
             "import sys\n"
-            "import livcalc.cli\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))\n"
+            "import numpy as np\n"
+            "np.random.default_rng, np.ma.masked, np.polynomial.Polynomial\n"
+            + _PRINT_FOOTPRINT
         )
         done = run_cold("-c", script)
+        assert done.returncode == 0, done.stderr
+        loaded = done.stdout.strip()
+        assert all(f"'numpy.{sub}'" in loaded for sub in ("random", "ma", "polynomial"))
+
+    def test_cli_import_loads_neither_scipy_nor_numpy_polynomial(self):
+        done = run_cold("-c", "import sys\nimport livcalc.cli\n" + _PRINT_FOOTPRINT)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 

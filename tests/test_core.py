@@ -32,7 +32,7 @@ from livcalc import (
     require_upper,
     sup_deviation,
 )
-from livcalc.core import complex_from_json, complex_to_json, grid_from_json, grid_to_json
+from livcalc.core import complex_from_json, complex_to_json, grid_from_json
 from livcalc.extension import cayley_probe
 
 GRID = default_grid()
@@ -106,17 +106,32 @@ class TestEvaluationGrid:
             EvaluationGrid(())
 
     def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            EvaluationGrid((1j, 1j))
+        # next to each other, apart, and 0.0 against -0.0 (equal values)
+        for points in [
+            (1j, 1j),
+            (2 + 1j, 1j, 3 + 1j, 2 + 1j),
+            (complex(0.0, 1.0), 2j, complex(-0.0, 1.0)),
+            (complex(-0.0, 1.0), 1 + 2j, complex(0.0, 1.0), complex(-0.0, 3.0)),
+        ]:
+            with pytest.raises(ValueError, match="pairwise distinct"):
+                EvaluationGrid(points)
+
+    def test_accepts_points_equal_in_one_part(self):
+        points = (1j, 2j, 1 + 1j, -1 + 1j, complex(-0.0, 2.5))
+        assert len(EvaluationGrid(points)) == 5
 
     def test_rejects_lower_halfplane_point(self):
         with pytest.raises(ValueError):
             EvaluationGrid((1j, 1 - 1j))
 
     def test_json_round_trip(self):
-        small = EvaluationGrid((1j, 2 + 0.5j), "probe")
-        again = grid_from_json(grid_to_json(small))
-        assert np.array_equal(again.points, small.points)
+        obj = {
+            "points": [{"re": "0", "im": "1"}, {"re": "2", "im": "0.10000000000000001"}],
+            "description": "probe",
+        }
+        again = grid_from_json(obj)
+        assert again.points.tolist() == [1j, 2 + 0.1j]
+        assert [complex_to_json(z) for z in again] == obj["points"]
         assert again.description == "probe"
 
 

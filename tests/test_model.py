@@ -60,6 +60,12 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             model_closed_forms(0.0)
 
+    @pytest.mark.parametrize("ell", [math.inf, math.nan])
+    def test_rejects_non_finite_length(self, ell):
+        for build in (model_closed_forms, g_plus, g_minus):
+            with pytest.raises(ValueError, match="interval length must be finite"):
+                build(ell)
+
 
 class TestDeficiencyElements:
     @pytest.mark.parametrize("ell", [0.5, 1.0, 2.0, 5.0])
@@ -156,6 +162,19 @@ class TestQuadratureOracle:
     def test_rejects_lower_halfplane(self):
         with pytest.raises(ValueError):
             model_livsic_quadrature(1.0, -1j)
+
+    @pytest.mark.parametrize("ell", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_length(self, ell):
+        with pytest.raises(ValueError, match="interval length must be finite and positive"):
+            model_livsic_quadrature(ell, 1j)
+
+    def test_legendre_table_is_leggauss(self):
+        from numpy.polynomial.legendre import leggauss
+
+        t, w = oracle._legendre()
+        expected_t, expected_w = leggauss(oracle.GAUSS_POINTS)
+        assert t.tobytes() == expected_t.tobytes()
+        assert w.tobytes() == expected_w.tobytes()
 
     def test_normalizer_past_expm1_overflow(self):
         # e^{2 ell} - 1 overflows a double from ell ~ 355 on

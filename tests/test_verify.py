@@ -121,6 +121,17 @@ def test_wrong_normalizer_fails_only_the_norm_check(capsys, monkeypatch):
     assert 1e-10 < float(worst) < 1.0
 
 
+def test_wrong_rotation_phase_fails_only_the_reference_change_check(capsys, monkeypatch):
+    # the phase e^{-i alpha} in place of e^{-2 i alpha} keeps |s|, so only
+    # the cross-route law (rotate M, then take its Livsic function) sees it
+    rotate = verify.reference_change_livsic
+    monkeypatch.setattr(verify, "reference_change_livsic", lambda s, alpha: rotate(s, alpha / 2))
+    assert cli.main(["verify-all"]) == 1
+    [(suite, name, worst)] = failed_checks(capsys)
+    assert (suite, name) == ("extension", "reference-change-laws")
+    assert 1e-12 < float(worst) < 2.0
+
+
 def test_warm_oracle_sweep_misses_no_cached_rule():
     # the sweep's (ell, m) keys must fit the rule cache, or a warm battery
     # rebuilds its rules on every run
@@ -158,7 +169,8 @@ def test_benchmark_tracer_sees_every_suite(capsys):
     # scalar __call__, so the per-layer count stays comparable
     assert tracer.counts["moebius.calls"] == 1742
     # every AnalyticFn call, point or array: a change that adds calls shows here
-    assert tracer.counts["core.scalar_calls"] == 202
+    # (the reference-change cross-route law makes 2 calls per angle, 8 in all)
+    assert tracer.counts["core.scalar_calls"] == 210
     # the inversion check's peak refinements: a tracer that loses the
     # binding of measure.minimize_scalar, or its nfev, reads 0 here
     assert tracer.counts["measure.refine.calls"] == 2
