@@ -4,9 +4,9 @@ The inner loops that dominate runtime live here:
 
 * ``herglotz_eval`` -- evaluate an atoms-plus-sampled-density measure model
   at an array of complex points (the Stieltjes-inversion scans hammer this);
-* ``gauss_exp`` -- weighted sums of exp(b*t) over a node set on [0, 1] for
-  one or several exponents and several weight columns at once (the
-  quadrature oracle's composite Gauss-Legendre step, one exponent per call);
+* ``gauss_exp`` -- weighted sums of exp(b*t) over a node set for one or
+  several exponents and several weight columns at once (the quadrature
+  oracle's composite Gauss-Legendre step on [-1, 0], one exponent per call);
 * ``simpson_weights`` -- the composite Simpson weights, used by sampled
   densities and by ``simpson_exp``, the composite Simpson sum of exp(a*x)
   on [0, L]: the oracle's former rule, kept as a reference kernel.
@@ -46,11 +46,11 @@ def gauss_exp(b, nodes, weights) -> np.ndarray:
     a scalar ``b``: one ``exp`` of b times the nodes, by broadcasting, and one
     matrix product.
 
-    With ``nodes`` on [0, 1] and one quadrature rule per column of
-    ``weights`` (zero off that rule's nodes), entry (k, r) is rule r's
-    estimate of the integral of exp(b[k] t) over t in [0, 1].  A column may
-    fold a real factor f(t) into its weights; it then estimates the integral
-    of f(t) exp(b[k] t).
+    With ``nodes`` on an interval such as [-1, 0] and one quadrature rule
+    per column of ``weights`` (zero off that rule's nodes), entry (k, r) is
+    rule r's estimate of the integral of exp(b[k] t) over that interval.  A
+    column may fold a real factor f(t) into its weights; it then estimates
+    the integral of f(t) exp(b[k] t).
     """
     terms = np.asarray(b, dtype=np.complex128)[..., None] * nodes
     np.exp(terms, out=terms)

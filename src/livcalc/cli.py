@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from typing import Optional
@@ -120,8 +121,18 @@ def emit_grid_csv(grid: EvaluationGrid, values) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads every token starting with a minus sign and a
+    digit (-1e-3, -1+2i, -2:2) as a value, not as a flag: the stock parser
+    takes only plain negative decimals such as -1 or -0.5 for values."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="livcalc",
         description="Calculus of contractive/half-plane analytic functions: "
         "interval model, couplings, measure realizations, identity checks.",
@@ -227,6 +238,11 @@ def cmd_couple(args) -> int:
     grid = load_grid(args.grid)
     # two different lengths, so that swapping s1 and s2 breaks the law
     s1 = model_closed_forms(args.length).livsic
+    if not math.isfinite(2.0 * args.length):
+        raise UsageError(
+            f"--length {args.length} is too large: the second model's length "
+            f"2 * ell overflows a double"
+        )
     s2 = model_closed_forms(2.0 * args.length).livsic
     pair = (args.kappa1, args.kappa2)
     if args.check == "nunu":

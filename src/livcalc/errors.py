@@ -30,5 +30,4 @@ class OutOfRange(LivcalcError, ValueError):
 
 
 class QuadratureFailed(LivcalcError):
-    """Adaptive quadrature exhausted its refinement budget or its integrand
-    left the double range."""
+    """Adaptive quadrature exhausted its refinement budget."""

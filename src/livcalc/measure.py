@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .core import AnalyticFn, FnKind, evaluate_many, fmt_float, json_list, json_number
+from .core import AnalyticFn, FnKind, evaluate_many, json_list, json_number
 from .errors import EmptyMeasure, WindowTooSmall
 from .moebius import MoebiusMap
 
@@ -104,23 +104,6 @@ class BorelMeasureModel:
             x = self.density.lattice()
             total += float(np.sum(self.density.quadrature_weights() / (1.0 + x**2)))
         return total
-
-    def to_json(self) -> dict:
-        dens = None
-        if self.density is not None:
-            dens = {
-                "x_lo": fmt_float(self.density.x_lo),
-                "x_hi": fmt_float(self.density.x_hi),
-                "h": fmt_float(self.density.h),
-                "values": [fmt_float(v) for v in self.density.values],
-            }
-        return {
-            "atoms": [
-                {"location": fmt_float(loc), "weight": fmt_float(w)}
-                for loc, w in self.atoms
-            ],
-            "density": dens,
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "BorelMeasureModel":

@@ -93,12 +93,3 @@ class MoebiusMap:
     def after(self, f: AnalyticFn, kind: FnKind, label: str) -> AnalyticFn:
         """The composition z -> self(f(z)) as an analytic function."""
         return AnalyticFn(lambda zs: self.values(f.evaluator(zs)), kind, label)
-
-    def compose(self, other: "MoebiusMap") -> "MoebiusMap":
-        """Matrix product: (m1.compose(m2))(z) == m1(m2(z))."""
-        return MoebiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )

@@ -352,11 +352,13 @@ def extension_checks() -> List[CheckResult]:
     S = functools.cache(lambda: characteristic_from_livsic(s(), 0.5))
 
     def involution():
+        # the map without conj(kappa) is an involution too and sends 0 to
+        # kappa; only the contraction |S| <= 1 tells it from the automorphism
         worst = 0.0
         for kappa in (0.25, 0.5 + 0.3j, 0.9, -0.6j):
             Sk = characteristic_from_livsic(s(), kappa)
             worst = max(worst, sup_deviation(characteristic_from_livsic(Sk, kappa), s(), grid),
-                        abs(extract_kappa(Sk) - kappa))
+                        abs(extract_kappa(Sk) - kappa), max_modulus(Sk, grid) - 1.0)
         return worst
 
     def rotated(theta):

@@ -121,14 +121,30 @@ class TestModelVerb:
         assert code == 0
         assert float(json.loads(out)["oracle_deviation"]) < 1e-8
 
-    def test_oracle_overflow_is_typed_error(self, capsys):
-        # (Im z + 1) * ell = 1200: the oracle's integrand leaves the double range
-        code, out, err = run_cli(
+    def test_oracle_at_length_400(self, capsys):
+        # e^{2 ell} and e^{(Im z + 1) ell} overflow a double here; the oracle
+        # forms neither
+        code, out, _ = run_cli(
             capsys, "model", "--length", "400", "--eval", "0+2i", "--oracle"
         )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "overflows" in err
+        assert code == 0
+        assert float(json.loads(out)["oracle_deviation"]) < 1e-8
+
+    @pytest.mark.parametrize("argv", [
+        "model --length 1000 --eval 0+1e-8i --oracle",
+        "model --length 700 --eval 0+1i --oracle",
+    ], ids=["ell-1000", "ell-700"])
+    def test_cold_oracle_at_large_length(self, argv):
+        done = run_cold("-m", "livcalc.cli", *argv.split())
+        assert done.returncode == 0, done.stderr
+        assert float(json.loads(done.stdout)["oracle_deviation"]) < 1e-8
+
+    def test_oracle_past_node_budget_is_typed_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "model", "--length", "2", "--eval", "10000000+0.1i", "--oracle"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: no convergence") and "node budget" in err
 
 
 class TestCoupleVerb:
@@ -166,6 +182,14 @@ class TestCoupleVerb:
         code, _, err = run_cli(capsys, "couple", "--kappa1", "1.5", "--kappa2", "0.5")
         assert code == 2
         assert "error" in err
+
+    def test_overflowing_second_length_names_length(self, capsys):
+        # the second model's length 2 * ell overflows; the user passed 1e308
+        code, out, err = run_cli(
+            capsys, "couple", "--kappa1", "0.5", "--kappa2", "0.5", "--length", "1e308"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --length 1e+308") and "2 * ell overflows" in err
 
 
 class TestMultiplyVerb:
@@ -319,6 +343,25 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        "add --alpha -1e-3", "model --length 1 --eval -1+2i",
+        "measure --atoms -1:1,1:1 --window -2:2 --invert",
+    ], ids=["exponent", "complex", "pair"])
+    def test_value_with_leading_minus_is_a_value(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, err) == (0, "")
+        assert json.loads(out)
+
+    @pytest.mark.parametrize("argv,name", [
+        ("model --length -1e-3 --eval 0+1i", "interval length"),
+        ("couple --kappa1 -1e-3 --kappa2 0.5", "kappa1"),
+    ], ids=["model", "couple"])
+    def test_negative_exponent_value_reaches_range_check(self, capsys, argv, name):
+        # not argparse's "expected one argument": the program's own range error
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {name}") and "-0.001" in err
 
     @pytest.mark.parametrize("argv,content,entry", [
         ("model --length 1 --grid file:{}", {}, "'points'"),

@@ -59,10 +59,16 @@ class TestModelValidation:
             SampledDensity(0.0, 1.0, (1.0, -0.1, 1.0))
 
     def test_json_round_trip(self):
-        mu = BorelMeasureModel(((0.5, 1.25),), cauchy_density(n=5))
-        again = BorelMeasureModel.from_json(mu.to_json())
-        assert again.atoms == mu.atoms
-        assert again.density.values == mu.density.values
+        obj = {
+            "atoms": [{"location": "0.5", "weight": "1.25"}],
+            "density": {"x_lo": "-20", "x_hi": "20", "h": "10",
+                        "values": ["0.00079379023985982715", "0.0031515830315226802",
+                                   "0.31830988618379069", "0.0031515830315226802",
+                                   "0.00079379023985982715"]},
+        }
+        mu = BorelMeasureModel.from_json(obj)
+        assert mu.atoms == ((0.5, 1.25),)
+        assert mu.density.values == cauchy_density(n=5).values
 
 
 class TestRealizeHerglotz:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import pytest
 from scipy.integrate import quad
 
@@ -175,6 +176,23 @@ class TestQuadratureOracle:
         expected_t, expected_w = leggauss(oracle.GAUSS_POINTS)
         assert t.tobytes() == expected_t.tobytes()
         assert w.tobytes() == expected_w.tobytes()
+
+    @pytest.mark.parametrize("ell", [100.0, 355.0, 700.0, 1000.0])
+    def test_large_length_against_mpmath(self, ell):
+        # e^{ell} and e^{2 ell} leave the double range from ell ~ 355 and
+        # ~ 709 on; the oracle never forms either
+        points = [complex(x, y) for x in (0.0, 0.5, -3.0) for y in (1e-8, 1e-3, 0.1, 1.0, 10.0)]
+        points = [z for z in points if abs(z + 1j) * ell < 1e4]  # inside the node budget
+        with mpmath.workdps(40):
+            ell_mp = mpmath.mpf(ell)
+
+            def reference(z):
+                iz = 1j * ell_mp * mpmath.mpc(z)
+                return complex((mpmath.expm1(iz) - mpmath.expm1(-ell_mp)) / mpmath.expm1(iz - ell_mp))
+
+            worst = max(abs(model_livsic_quadrature(ell, z) - reference(z)) for z in points)
+        oracle._panel_rule.cache_clear()  # the rules at ell = 1e3 take megabytes each
+        assert worst < QUADRATURE_TOL
 
     def test_normalizer_past_expm1_overflow(self):
         # e^{2 ell} - 1 overflows a double from ell ~ 355 on

@@ -6,8 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from livcalc import (
+    AnalyticFn,
     BorelMeasureModel,
     DegenerateMap,
+    FnKind,
     MoebiusMap,
     PoleEncountered,
     characteristic_from_livsic,
@@ -78,26 +80,28 @@ class TestApply:
 
 
 class TestCompose:
+    # compositions as maps, point by point on the default grid; the disk
+    # side is the Cayley image of the grid
     def test_cayley_inverse_pair(self):
         K, Kinv = MoebiusMap.cayley(), MoebiusMap.inverse_cayley()
-        assert gap(K.compose(Kinv), IDENTITY) < 1e-12
-        assert gap(Kinv.compose(K), IDENTITY) < 1e-12
+        assert gap(lambda z: Kinv(K(z)), IDENTITY) < 1e-12
+        assert gap(lambda z: K(Kinv(K(z))), K) < 1e-12
 
     def test_compose_convention(self):
+        # after(f) is self(f(z)), not f(self(z))
         K, R = MoebiusMap.cayley(), MoebiusMap.halfplane_rotation(0.7)
-        z = 2 + 3j
-        assert abs(K.compose(R)(z) - K(R(z))) < 1e-15
+        KR = K.after(AnalyticFn(R.values, FnKind.GENERIC), FnKind.GENERIC, "K o R")
+        assert gap(KR, lambda z: K(R(z))) < 1e-15
 
     @given(disk_points)
-    def test_disk_automorphism_involution_as_matrix(self, kappa):
-        T = MoebiusMap.disk_automorphism(kappa)
-        assert gap(T.compose(T), IDENTITY) < 1e-12
+    def test_disk_automorphism_involution_on_grid(self, kappa):
+        K, T = MoebiusMap.cayley(), MoebiusMap.disk_automorphism(kappa)
+        assert gap(lambda z: T(T(K(z))), K) < 1e-12
 
     @given(angles, angles)
     def test_rotation_angle_addition(self, a, b):
-        lhs = MoebiusMap.halfplane_rotation(a).compose(MoebiusMap.halfplane_rotation(b))
-        rhs = MoebiusMap.halfplane_rotation(a + b)
-        assert gap(lhs, rhs) < 1e-12
+        Ra, Rb = MoebiusMap.halfplane_rotation(a), MoebiusMap.halfplane_rotation(b)
+        assert gap(lambda z: Ra(Rb(z)), MoebiusMap.halfplane_rotation(a + b)) < 1e-12
 
 
 class TestGeometricInvariants:

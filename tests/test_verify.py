@@ -5,7 +5,7 @@ import importlib.util
 import json
 import os
 
-from livcalc import FnKind, cli, oracle, verify
+from livcalc import FnKind, MoebiusMap, cli, oracle, verify
 from livcalc.core import default_grid
 from livcalc import model as model_mod
 from livcalc.model import ModelFunctions
@@ -132,6 +132,32 @@ def test_wrong_rotation_phase_fails_only_the_reference_change_check(capsys, monk
     assert 1e-12 < float(worst) < 2.0
 
 
+def test_wrong_oracle_weight_fails_only_the_oracle_check(capsys, monkeypatch):
+    # the plus columns' weights 0.1% high: s_oracle is 0.1% low everywhere
+    rule = oracle._panel_rule
+
+    def scaled(ell, m):
+        nodes, weights = rule(ell, m)
+        return nodes, weights * [1.0, 1.0, 1.001, 1.001]
+
+    monkeypatch.setattr(oracle, "_panel_rule", scaled)
+    assert cli.main(["verify-all"]) == 1
+    [(suite, name, worst)] = failed_checks(capsys)
+    assert (suite, name) == ("model", "oracle-vs-closed-form")
+    assert 1e-8 < float(worst) < 1.0
+
+
+def test_automorphism_without_conjugate_fails_only_the_involution_check(capsys, monkeypatch):
+    # w -> (w - kappa)/(kappa w - 1) is an involution that sends 0 to kappa
+    # too, but for complex kappa it does not keep the disk: |S| exceeds 1
+    monkeypatch.setattr(MoebiusMap, "disk_automorphism",
+                        classmethod(lambda cls, kappa: cls(1.0, -kappa, kappa, -1.0)))
+    assert cli.main(["verify-all"]) == 1
+    [(suite, name, worst)] = failed_checks(capsys)
+    assert (suite, name) == ("extension", "involution-and-kappa-extraction")
+    assert 1e-12 < float(worst) < 1e3
+
+
 def test_warm_oracle_sweep_misses_no_cached_rule():
     # the sweep's (ell, m) keys must fit the rule cache, or a warm battery
     # rebuilds its rules on every run
@@ -169,8 +195,9 @@ def test_benchmark_tracer_sees_every_suite(capsys):
     # scalar __call__, so the per-layer count stays comparable
     assert tracer.counts["moebius.calls"] == 1742
     # every AnalyticFn call, point or array: a change that adds calls shows here
-    # (the reference-change cross-route law makes 2 calls per angle, 8 in all)
-    assert tracer.counts["core.scalar_calls"] == 210
+    # (the reference-change cross-route law makes 2 calls per angle, 8 in all;
+    # the involution check's contraction probe 1 per kappa, 4 in all)
+    assert tracer.counts["core.scalar_calls"] == 214
     # the inversion check's peak refinements: a tracer that loses the
     # binding of measure.minimize_scalar, or its nfev, reads 0 here
     assert tracer.counts["measure.refine.calls"] == 2
