@@ -67,57 +67,3 @@ from .moebius import MoebiusMap
 from .oracle import model_livsic_quadrature
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalyticFn",
-    "BorelMeasureModel",
-    "ClassMembershipReport",
-    "ClassVerdict",
-    "CouplingAngles",
-    "DeficiencyElement",
-    "DegenerateMap",
-    "EmptyMeasure",
-    "EvaluationGrid",
-    "FnKind",
-    "InversionResult",
-    "LivcalcError",
-    "ModelFunctions",
-    "MoebiusMap",
-    "NotContractive",
-    "OutOfRange",
-    "PoleEncountered",
-    "QuadratureFailed",
-    "SampledDensity",
-    "TaggedCharacteristic",
-    "ToleranceConfig",
-    "WindowTooSmall",
-    "add_weyl",
-    "characteristic_from_livsic",
-    "class_C_check",
-    "constant_fn",
-    "couple_livsic",
-    "coupling_angles",
-    "default_grid",
-    "ensure_kappa",
-    "evaluate_many",
-    "evaluate_on_grid",
-    "extract_kappa",
-    "g_minus",
-    "g_plus",
-    "general_k_identity_defect",
-    "livsic_from_weyl",
-    "max_modulus",
-    "min_imag",
-    "model_closed_forms",
-    "model_livsic_quadrature",
-    "multiply_characteristic",
-    "normalization_defect",
-    "realize_herglotz",
-    "reference_change_livsic",
-    "reference_change_weyl",
-    "require_upper",
-    "split_interval_check",
-    "stieltjes_invert",
-    "sup_deviation",
-    "verify_class_properties",
-]

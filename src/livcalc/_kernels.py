@@ -43,8 +43,8 @@ def herglotz_eval(locs, weights, dens_x, dens_w, zs) -> np.ndarray:
 def gauss_exp(b, nodes, weights) -> np.ndarray:
     """Sums of weights[:, r] * exp(b[k] * nodes) over the nodes, as a
     (len(b), weights.shape[1]) matrix, or a row of weights.shape[1] sums for
-    a scalar ``b``: one ``exp`` of b times the nodes, by broadcasting, and one
-    matrix product.
+    a scalar ``b``: one ``exp`` of the outer product of b and the nodes, and
+    one matrix product.
 
     With ``nodes`` on an interval such as [-1, 0] and one quadrature rule
     per column of ``weights`` (zero off that rule's nodes), entry (k, r) is
@@ -52,9 +52,7 @@ def gauss_exp(b, nodes, weights) -> np.ndarray:
     column may fold a real factor f(t) into its weights; it then estimates
     the integral of f(t) exp(b[k] t).
     """
-    terms = np.asarray(b, dtype=np.complex128)[..., None] * nodes
-    np.exp(terms, out=terms)
-    return terms @ weights
+    return np.exp(np.multiply.outer(b, nodes)) @ weights
 
 
 def simpson_weights(n_samples: int, h: float) -> np.ndarray:

@@ -41,16 +41,22 @@ def model_closed_forms(ell: float) -> ModelFunctions:
         kappa = e^{-ell},
 
     already related by the disk automorphism S = (s - kappa)/(kappa s - 1).
-    s is evaluated as (expm1(i ell z) - expm1(-ell)) / expm1(i ell z - ell),
-    which keeps its digits as ell -> 0, where e^{-ell} rounds to 1.
+    With E = expm1(i ell z), s is evaluated as
+    (E - expm1(-ell)) / (e^{-ell} E + expm1(-ell)), which keeps its digits as
+    ell -> 0, where e^{-ell} rounds to 1.  The denominator is
+    e^{i ell z - ell} - 1, at least 1 - e^{-ell} in modulus for Im z > 0.
+
+    The error of s is bounded in absolute terms, about ell |z| units of
+    roundoff, not relative to |s|: at ell = 400 and z = 2i this returns
+    s = -0, where the value is e^{-400}, about 1.9e-174.
     """
     ell = _require_positive_length(ell)
     decay = math.exp(-ell)
     decay_m1 = math.expm1(-ell)
 
     def s_eval(zs):
-        iz = 1j * ell * zs
-        return (np.expm1(iz) - decay_m1) / np.expm1(iz - ell)
+        e = np.expm1(1j * ell * zs)
+        return (e - decay_m1) / (decay * e + decay_m1)
 
     livsic = AnalyticFn(
         evaluator=s_eval,

@@ -15,15 +15,15 @@ modulus for Im z > 0.  The normalizers of g_- and g_+ have the ratio
 c_-/c_+ = e^{ell}, so the ratio of the inner products is J_-/J_+.
 
 J_- and J_+ are taken by composite 16-point Gauss-Legendre quadrature on m
-and on 2m equal panels, with m chosen so that each panel spans at most two
-radians of |z + i| ell t.  The 2m-panel values are returned once both agree
-with the m-panel ones to a tolerance relative to J_+; otherwise m doubles, up
-to a node budget.
+and on 2m equal panels, with m chosen so that each panel spans at most eight
+radians of |z + i| ell t.  The 2m-panel values, on panels of at most four
+radians, are returned once both agree with the m-panel ones to a tolerance
+relative to J_+; otherwise m doubles, up to a node budget.
 
 The rule for one (ell, m) is cached with the real factors folded into its
-weights, so each convergence attempt is one complex exp of e^{-iz ell (t - 1)}
-over the nodes and one matrix-vector product that gives both integrals on
-both rules.
+complex weights, so each convergence attempt is one complex exp of
+e^{-iz ell (t - 1)} over the nodes and one complex matrix-vector product that
+gives both integrals on both rules.
 
 :func:`composite_rule` is the plain composite rule on [0, 1]; the
 defect-element norm check integrates with it too.
@@ -43,10 +43,10 @@ from .errors import QuadratureFailed
 #: Gauss-Legendre points per panel.
 GAUSS_POINTS = 16
 #: Largest |a| * (panel width) at the start: a 16-point rule integrates
-#: exp over two radians to far below double precision.
-PANEL_SPAN = 2.0
+#: e^{at} over eight radians to a relative error below 2e-25.
+PANEL_SPAN = 8.0
 #: Node budget for one coarse-plus-fine rule (16 * 3m nodes).  It admits
-#: |z + i| * ell up to about 1.09e4, e.g. Re z = 1e4 at ell = 1.
+#: |z + i| * ell up to about 4.37e4, e.g. Re z = 4.3e4 at ell = 1.
 MAX_NODES = 2**18
 
 
@@ -85,21 +85,22 @@ def composite_rule(panels: int):
     return nodes, np.tile(w / (2.0 * panels), panels)
 
 
-# The battery's sweep, ell in (0.5, 1, 2) over the default grid, uses 13
-# (ell, m) keys with m = 1..8 (92 kB in all), so maxsize 16 keeps a warm
-# battery free of misses.  A rule at the node budget takes about 10 MB
-# (2 MB of nodes, 8 MB of weights), so the cache never exceeds about 170 MB.
-@functools.lru_cache(maxsize=16)
+# The battery's sweep, ell in (0.5, 1, 2) over the default grid, uses 4
+# (ell, m) keys with m = 1, 2 (17 kB in all), so maxsize 8 keeps a warm
+# battery free of misses.  A rule at the node budget takes about 19 MB
+# (2 MB of nodes, 17 MB of weights), so the cache never exceeds about 150 MB.
+@functools.lru_cache(maxsize=8)
 def _panel_rule(ell: float, m: int):
     """Nodes t - 1 on [-1, 0] of the m- and 2m-panel composite rules in t,
-    and their weights as a (3 * 16 * m, 4) matrix with the real factor of
-    each integrand folded in: columns 0 and 1 hold the m- and 2m-panel
-    weights times ell e^{-ell t}, columns 2 and 3 the same times
+    and their complex weights as a (3 * 16 * m, 4) matrix with the real
+    factor of each integrand folded in: columns 0 and 1 hold the m- and
+    2m-panel weights times ell e^{-ell t}, columns 2 and 3 the same times
     ell e^{ell (t - 1)}.  Each rule's columns are zero on the other rule's
-    nodes."""
+    nodes.  The weights are stored complex so that gauss_exp's product
+    casts nothing per call."""
     coarse, fine = composite_rule(m), composite_rule(2 * m)
     nodes = np.concatenate([coarse[0], fine[0]]) - 1.0
-    weights = np.zeros((nodes.size, 4))
+    weights = np.zeros((nodes.size, 4), dtype=np.complex128)
     weights[: coarse[0].size, 0] = coarse[1]
     weights[coarse[0].size :, 1] = fine[1]
     weights[:, 2:] = weights[:, :2]
@@ -118,7 +119,7 @@ def model_livsic_quadrature(ell: float, z: complex) -> complex:
     end of the interval by composite Gauss-Legendre quadrature with a panel
     count scaled to |z + i| * ell.  Agrees with the closed form within
     QUADRATURE_TOL; raises QuadratureFailed when |z + i| * ell is too large
-    for the MAX_NODES budget (past about 1.09e4).
+    for the MAX_NODES budget (past about 4.37e4).
     """
     ell = float(ell)
     if not (ell > 0.0 and math.isfinite(ell)):

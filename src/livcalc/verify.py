@@ -180,8 +180,8 @@ def oracle_deviation(ells: Iterable[float], grid: EvaluationGrid) -> float:
 def norm_defect(elements: Iterable[model_mod.DeficiencyElement]) -> float:
     """Worst |norm - 1| of the elements in L^2(0, length), by the oracle's
     composite Gauss-Legendre rule at their sampled values.  |g_+-(x)|^2 is
-    a multiple of e^{+-2x}, so panels of width PANEL_SPAN / 2 keep
-    |a| * (panel width) within PANEL_SPAN at |a| = 2, as in the oracle."""
+    a multiple of e^{+-2x}, so panels of width at most PANEL_SPAN / 2 = 4
+    keep |a| * (panel width) within the oracle's eight radians at |a| = 2."""
     worst = 0.0
     for elem in elements:
         panels = max(1, math.ceil(2.0 * elem.length / oracle_mod.PANEL_SPAN))
@@ -365,10 +365,16 @@ def extension_checks() -> List[CheckResult]:
         return AnalyticFn(lambda zs: theta * S().evaluator(zs), FnKind.CHARACTERISTIC)
 
     def verdicts():
+        # K(z) (z - 100i)/(z + 100i) vanishes at i, but along the phase 1
+        # |z (s - 1)| tends to 202: only a growth threshold above that
+        # rejects it
+        K = cayley_probe().evaluator
+        blaschke = AnalyticFn(lambda zs: K(zs) * (zs - 100j) / (zs + 100j), FnKind.GENERIC)
         ok = (
             class_C_check(s()).verdict is ClassVerdict.CONSISTENT_WITH_C
             and class_C_check(constant_fn(0.5)).verdict is ClassVerdict.FAILS_AT_I
             and class_C_check(cayley_probe()).verdict is ClassVerdict.FAILS_GROWTH
+            and class_C_check(blaschke).verdict is ClassVerdict.FAILS_GROWTH
         )
         return 0.0 if ok else 1.0
 

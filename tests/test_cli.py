@@ -133,11 +133,20 @@ class TestModelVerb:
     @pytest.mark.parametrize("argv", [
         "model --length 1000 --eval 0+1e-8i --oracle",
         "model --length 700 --eval 0+1i --oracle",
-    ], ids=["ell-1000", "ell-700"])
+        # |z + i| * ell = 4.3e4, just inside the node budget
+        "model --length 1 --eval 43000+1i --oracle",
+    ], ids=["ell-1000", "ell-700", "budget-edge"])
     def test_cold_oracle_at_large_length(self, argv):
         done = run_cold("-m", "livcalc.cli", *argv.split())
         assert done.returncode == 0, done.stderr
         assert float(json.loads(done.stdout)["oracle_deviation"]) < 1e-8
+
+    def test_cold_oracle_just_past_node_budget_is_typed_error(self):
+        # |z + i| * ell = 4.4e4 needs more than MAX_NODES on its first rule
+        done = run_cold("-m", "livcalc.cli", "model", "--length", "1", "--eval",
+                        "44000+1i", "--oracle")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: no convergence") and "node budget" in done.stderr
 
     def test_oracle_past_node_budget_is_typed_error(self, capsys):
         code, out, err = run_cli(

@@ -1,9 +1,11 @@
 import math
 import os
+import random
 import subprocess
 import sys
 
 import mpmath
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -51,6 +53,27 @@ class TestClosedForms:
                     abs((s - forms.kappa) / (forms.kappa * s - 1.0) - forms.characteristic(z)),
                 )
             assert worst < 1e-14
+
+    @pytest.mark.parametrize(
+        "ell", [1e-300, 1e-8, 1e-3, 0.01, 0.5, 1.0, 5.0, 50.0, 700.0, 1e3]
+    )
+    def test_livsic_against_mpmath(self, ell):
+        # the phase of e^{i ell z} is only as accurate as ell |z| units of
+        # roundoff, so the bound scales with it (and is absolute, not
+        # relative to |s|)
+        rng = random.Random(f"closed-form-{ell}")
+        points = [
+            complex(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 4.0),
+                    10.0 ** rng.uniform(-8.0, 2.0))
+            for _ in range(200)
+        ]
+        values = model_closed_forms(ell).livsic(np.array(points))
+        with mpmath.workdps(40):
+            ell_mp = mpmath.mpf(ell)
+            for z, s in zip(points, values):
+                iz = 1j * ell_mp * mpmath.mpc(z)
+                exact = (mpmath.expm1(iz) - mpmath.expm1(-ell_mp)) / mpmath.expm1(iz - ell_mp)
+                assert abs(s - complex(exact)) <= 32 * 2.0**-53 * (1.0 + ell * abs(z)), z
 
     def test_kinds(self):
         forms = model_closed_forms(1.0)
@@ -126,7 +149,7 @@ class TestQuadratureOracle:
         assert worst < 1e-12
 
     def test_large_real_part(self):
-        # the integrands turn through 1e4 radians on [0, 1]: about 5000 panels
+        # the integrands turn through 1e4 radians on [0, 1]: about 1250 panels
         z = 1e4 + 1j
         closed = model_closed_forms(1.0).livsic
         assert abs(model_livsic_quadrature(1.0, z) - closed(z)) < QUADRATURE_TOL

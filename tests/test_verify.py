@@ -5,7 +5,7 @@ import importlib.util
 import json
 import os
 
-from livcalc import FnKind, MoebiusMap, cli, oracle, verify
+from livcalc import FnKind, MoebiusMap, cli, extension, oracle, verify
 from livcalc.core import default_grid
 from livcalc import model as model_mod
 from livcalc.model import ModelFunctions
@@ -158,6 +158,14 @@ def test_automorphism_without_conjugate_fails_only_the_involution_check(capsys, 
     assert 1e-12 < float(worst) < 1e3
 
 
+def test_low_growth_threshold_fails_only_the_verdict_check(capsys, monkeypatch):
+    # at a threshold of 1e1 the two-factor Blaschke probe, whose
+    # |z (s - 1)| tends to 202, reads ConsistentWithC
+    monkeypatch.setattr(extension, "RAY_PASS_THRESHOLD", 1e1)
+    assert cli.main(["verify-all"]) == 1
+    assert failed_checks(capsys) == [("extension", "class-membership-verdicts", "1")]
+
+
 def test_warm_oracle_sweep_misses_no_cached_rule():
     # the sweep's (ell, m) keys must fit the rule cache, or a warm battery
     # rebuilds its rules on every run
@@ -196,8 +204,9 @@ def test_benchmark_tracer_sees_every_suite(capsys):
     assert tracer.counts["moebius.calls"] == 1742
     # every AnalyticFn call, point or array: a change that adds calls shows here
     # (the reference-change cross-route law makes 2 calls per angle, 8 in all;
-    # the involution check's contraction probe 1 per kappa, 4 in all)
-    assert tracer.counts["core.scalar_calls"] == 214
+    # the involution check's contraction probe 1 per kappa, 4 in all; the
+    # two-factor Blaschke probe of the class verdicts 2)
+    assert tracer.counts["core.scalar_calls"] == 216
     # the inversion check's peak refinements: a tracer that loses the
     # binding of measure.minimize_scalar, or its nfev, reads 0 here
     assert tracer.counts["measure.refine.calls"] == 2
