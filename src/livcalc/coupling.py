@@ -71,8 +71,8 @@ def coupling_angles(kappa1: float, kappa2: float) -> CouplingAngles:
     what the sin/cos relations force there (the printed arctan argument
     kappa1/sqrt(1-kappa1^2) is the tangent of exactly this beta).
 
-    Phases of complex extension parameters are handled by unimodular
-    reference rotations outside this function; pass moduli here.
+    Takes moduli only.  Complex extension parameters are not handled
+    anywhere yet (ROADMAP Direction 10).
     """
     k1, k2 = float(kappa1), float(kappa2)
     for name, k in (("kappa1", k1), ("kappa2", k2)):

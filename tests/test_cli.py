@@ -463,3 +463,13 @@ class TestColdStart:
         for atom, loc in zip(atoms, (-1.0, 1.0)):
             assert abs(float(atom["location"]) - loc) <= spacing
             assert abs(float(atom["weight"]) - 1.0) < 0.02
+
+    def test_cold_inversion_keeps_both_atoms_at_fine_eps(self):
+        done = run_cold("-m", "livcalc.cli", "measure", "--atoms=0.123456:1,1.5:0.5",
+                        "--invert", "--eps", "1e-8,1e-9")
+        assert done.returncode == 0, done.stderr
+        atoms = json.loads(done.stdout)["recovered_atoms"]
+        assert len(atoms) == 2
+        for atom, (loc, w) in zip(atoms, ((0.123456, 1.0), (1.5, 0.5))):
+            assert abs(float(atom["location"]) - loc) < 1e-10
+            assert abs(float(atom["weight"]) - w) < 0.02 * w

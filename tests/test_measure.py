@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from livcalc import (
+    AnalyticFn,
     BorelMeasureModel,
     EmptyMeasure,
     FnKind,
@@ -20,6 +21,7 @@ from livcalc import (
     min_imag,
     normalization_defect,
     realize_herglotz,
+    reference_change_weyl,
     stieltjes_invert,
 )
 from livcalc import measure
@@ -34,6 +36,16 @@ HEAVY_ATOM = BorelMeasureModel(((1.0, 2.0),))
 #: neither location lies on the 2001-point scan lattice of [-2, 2]
 OFF_LATTICE_PAIR = BorelMeasureModel(((0.7003, 1.0), (-1.2345, 0.8)))
 ATOM_SCHEDULE = (1e-2, 1e-3, 1e-4)
+#: the reference pair, the unit atom, the off-lattice pair, a light atom
+#: next to a heavy one, three mixed atoms and the heavy atom of criterion 7
+PROBE_MEASURES = {
+    "pair": PAIR_ATOMS,
+    "unit": ORIGIN_ATOM,
+    "off-lattice": OFF_LATTICE_PAIR,
+    "light": BorelMeasureModel(((0.0, 1.0), (0.19, 0.05))),
+    "mixed": BorelMeasureModel(((-1.37, 0.4), (0.0123, 1.5), (1.618, 0.7))),
+    "heavy": HEAVY_ATOM,
+}
 
 
 def cauchy_density(x_lo=-20.0, x_hi=20.0, n=2001):
@@ -178,12 +190,13 @@ class TestStieltjesInversion:
         assert abs(atom.weight - 1.0) < 0.02
         assert atom.residual < 1e-6
 
-    def test_heavy_atom_round_trip(self):
-        result = stieltjes_invert(
-            realize_herglotz(HEAVY_ATOM), (-2.0, 2.0), (1e-2, 1e-3, 1e-4)
-        )
-        assert len(result.atoms) == 1
-        assert abs(result.atoms[0].weight - 2.0) < 0.04
+    @pytest.mark.parametrize("schedule", [ATOM_SCHEDULE, (1e-6, 1e-7, 1e-8),
+                                          (1e-7, 1e-8, 1e-9)], ids=lambda s: f"eps{s[-1]:g}")
+    @pytest.mark.parametrize("name", PROBE_MEASURES)
+    def test_recovers_probe_measures(self, name, schedule):
+        mu = PROBE_MEASURES[name]
+        result = stieltjes_invert(realize_herglotz(mu), (-2.0, 2.0), schedule)
+        assert_recovers(result, sorted(mu.atoms), INVERSION_REL_TOL)
 
     def test_density_round_trip(self):
         dens = cauchy_density()
@@ -257,51 +270,70 @@ def assert_recovers_off_lattice_pair(result):
         assert abs(got.weight - w) < INVERSION_REL_TOL * w
 
 
-def scipy_bounded(func, bounds, xatol):
-    from scipy.optimize import minimize_scalar as scipy_minimize_scalar
+def assert_recovers(result, atoms, weight_rel_tol):
+    assert len(result.atoms) == len(atoms)
+    for got, (loc, w) in zip(result.atoms, atoms):
+        assert abs(got.location - loc) < 1e-10
+        assert abs(got.weight - w) < weight_rel_tol * w
 
-    return scipy_minimize_scalar(func, bounds=bounds, method="bounded", options={"xatol": xatol})
+
+def interval_weyl(ell):
+    """The interval model's Weyl function coth(ell/2)*tan(ell*z/2): atoms of
+    weight 2/(ell*tanh(ell/2)) at (2k + 1)*pi/ell, infinitely many."""
+    scale = 1.0 / math.tanh(0.5 * ell)
+    return AnalyticFn(lambda zs: scale * np.tan(0.5 * ell * zs), kind=FnKind.HERGLOTZ,
+                      label=f"weyl[ell={ell}]")
 
 
-def same_bits(ours, theirs):
-    return (ours.x.hex(), ours.nfev) == (float(theirs.x).hex(), int(theirs.nfev))
+class TestModelWeylMeasure:
+    @pytest.mark.parametrize("ell", [0.5, 1.0, 2.0])
+    def test_recovers_six_atoms(self, ell):
+        result = stieltjes_invert(
+            interval_weyl(ell), (-6.0 * math.pi / ell, 6.0 * math.pi / ell), ATOM_SCHEDULE
+        )
+        weight = 2.0 / (ell * math.tanh(0.5 * ell))
+        assert_recovers(result, [((2 * k + 1) * math.pi / ell, weight) for k in range(-3, 3)],
+                        1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    def test_recovers_rotated_atoms(self, alpha):
+        # reference rotation by alpha moves the atoms to
+        # (2/ell)(k*pi - arctan(cot(alpha) tanh(ell/2))) and rescales them
+        ell, t = 1.0, math.tanh(0.5)
+        result = stieltjes_invert(
+            reference_change_weyl(interval_weyl(ell), alpha), (-6.0 * math.pi, 6.0 * math.pi),
+            ATOM_SCHEDULE,
+        )
+        shift = math.atan(t / math.tan(alpha))
+        weight = 2.0 * t / (ell * (math.sin(alpha) ** 2 + (math.cos(alpha) * t) ** 2))
+        locs = [(2.0 / ell) * (k * math.pi - shift) for k in range(-2, 4)]
+        assert_recovers(result, [(loc, weight) for loc in locs], 1e-10)
 
 
 class TestBoundedMinimizer:
-    def test_matches_scipy_on_every_inversion_refinement(self, monkeypatch):
-        refinements = []
-
-        def compared(func, bounds, xatol):
-            ours = minimize_scalar(func, bounds, xatol)
-            refinements.append(same_bits(ours, scipy_bounded(func, bounds, xatol)))
-            return ours
-
-        monkeypatch.setattr(measure, "minimize_scalar", compared)
-        for mu in (ORIGIN_ATOM, PAIR_ATOMS, HEAVY_ATOM, OFF_LATTICE_PAIR):
-            stieltjes_invert(realize_herglotz(mu), (-2.0, 2.0), ATOM_SCHEDULE)
-        for mu in (BorelMeasureModel((), cauchy_density()),
-                   BorelMeasureModel(((0.0, 1.0),), cauchy_density())):
-            stieltjes_invert(realize_herglotz(mu), (-20.0, 20.0), (0.4, 0.2, 0.1))
-        assert len(refinements) == 8
-        assert all(refinements)
-
-    def test_matches_scipy_on_seeded_brackets(self):
-        rng = np.random.default_rng(1310_8504)
-        shapes = (
-            lambda c: lambda x: (x - c) ** 2 + 0.25 * (x - c) ** 4,  # smooth
-            lambda c: lambda x: math.sin(7.0 * x + c) + 0.1 * x * x,  # oscillating
-            lambda c: lambda x: abs(x - c) + 0.3 * abs(x + 0.5 * c),  # kinked
+    def test_lorentzian_vertex_with_off_centre_bracket(self):
+        lam, eps, w = 0.3141592653589793, 1e-4, 0.7
+        refined = minimize_scalar(
+            lambda x: -w * eps / ((x - lam) ** 2 + eps * eps), (lam - 3e-4, lam + 1.7e-3), 1e-13
         )
-        mismatched = []
-        for k in range(1200):
-            lo = rng.uniform(-10.0, 10.0)
-            hi = lo + rng.uniform(1e-3, 5.0)
-            func = shapes[k % 3](rng.uniform(lo - 1.0, hi + 1.0))
-            xatol = 10.0 ** rng.uniform(-13.0, -5.0)
-            if not same_bits(minimize_scalar(func, (lo, hi), xatol),
-                             scipy_bounded(func, (lo, hi), xatol)):
-                mismatched.append((k, lo, hi, xatol))
-        assert mismatched == []
+        assert abs(refined.x - lam) < 1e-12
+        assert refined.nfev == 6
+
+    @pytest.mark.parametrize("func", [
+        lambda x: -1.0,  # plateau: no curvature
+        lambda x: 0.0,  # -1/func undefined
+        lambda x: -abs(x - 0.2),  # -1/func peaks at 0.2
+    ], ids=["plateau", "zero", "cusp"])
+    def test_non_convex_stays_in_bounds_and_counts_calls(self, func):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return func(x)
+
+        refined = minimize_scalar(counted, (-0.5, 1.0), 1e-13)
+        assert -0.5 <= refined.x <= 1.0
+        assert refined.nfev == len(calls) <= 6
 
     @pytest.mark.parametrize("bounds", [
         (-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0), (1.0, 0.0),

@@ -205,11 +205,12 @@ def test_benchmark_tracer_sees_every_suite(capsys):
     # every AnalyticFn call, point or array: a change that adds calls shows here
     # (the reference-change cross-route law makes 2 calls per angle, 8 in all;
     # the involution check's contraction probe 1 per kappa, 4 in all; the
-    # two-factor Blaschke probe of the class verdicts 2)
-    assert tracer.counts["core.scalar_calls"] == 216
+    # two-factor Blaschke probe of the class verdicts 2; the two peak
+    # refinements 6 each)
+    assert tracer.counts["core.scalar_calls"] == 212
     # the inversion check's peak refinements: a tracer that loses the
     # binding of measure.minimize_scalar, or its nfev, reads 0 here
     assert tracer.counts["measure.refine.calls"] == 2
-    assert tracer.counts["measure.refine.nfev"] == 16
+    assert tracer.counts["measure.refine.nfev"] == 12
     for suite in ("core", "moebius", "measure", "extension", "coupling", "model"):
         assert tracer.counts[f"verify.{suite}.calls"] == 1, suite
