@@ -26,8 +26,6 @@ OVERFLOW_GUARD = 1e12
 IDENTITY_TOL = 1e-10
 #: The quadrature oracle against the closed form.
 QUADRATURE_TOL = 1e-8
-#: kappa2 at or below this takes the degenerate coupling branch.
-KAPPA2_ZERO_THRESHOLD = 1e-12
 #: Relative atom-weight error of Stieltjes inversion.
 INVERSION_REL_TOL = 0.02
 
@@ -148,7 +146,6 @@ class ToleranceConfig:
     __slots__ = ()
     identity_tol = IDENTITY_TOL
     quadrature_tol = QUADRATURE_TOL
-    kappa2_zero_threshold = KAPPA2_ZERO_THRESHOLD
     inversion_rel_tol = INVERSION_REL_TOL
 
 

@@ -15,15 +15,15 @@ import numpy as np
 
 from .core import (
     IDENTITY_TOL,
-    KAPPA2_ZERO_THRESHOLD,
     AnalyticFn,
     EvaluationGrid,
     FnKind,
     divide_off_pole,
     max_modulus,
     min_imag,
+    sup_deviation,
 )
-from .errors import OutOfRange, PoleEncountered
+from .errors import OutOfRange
 from .extension import ensure_kappa, extract_kappa
 from .moebius import MoebiusMap
 
@@ -35,23 +35,19 @@ class CouplingAngles:
     """The pair (alpha, beta) parametrizing a coupling.
 
     For inputs produced by :func:`coupling_angles` the defining relations
-    sin(beta) = kappa1 sin(alpha) and, off the degenerate branch,
-    cos(beta) = cos(alpha)/kappa2 hold to 1e-14.  The range check admits
-    beta = pi/2 so the symmetric collapse (alpha = beta = pi/2) remains
-    expressible.
+    sin(beta) = kappa1 sin(alpha) and cos(alpha) = kappa2 cos(beta) hold to
+    1e-14.  The range check admits beta = pi/2 so the symmetric collapse
+    (alpha = beta = pi/2) remains expressible.
     """
 
     alpha: float
     beta: float
-    kappa2_is_zero: bool = False
 
     def __post_init__(self):
         if not (0.0 <= self.alpha <= _HALF_PI):
             raise ValueError(f"alpha = {self.alpha} outside [0, pi/2]")
         if not (0.0 <= self.beta <= _HALF_PI):
             raise ValueError(f"beta = {self.beta} outside [0, pi/2]")
-        if self.kappa2_is_zero and abs(self.alpha - _HALF_PI) > 1e-12:
-            raise ValueError("degenerate branch requires alpha = pi/2")
 
     def trig(self):
         """(cos a cos b, sin a sin b), the two coefficients of the coupling."""
@@ -64,12 +60,9 @@ class CouplingAngles:
 def coupling_angles(kappa1: float, kappa2: float) -> CouplingAngles:
     """Angles (alpha, beta) determined by the moduli kappa1, kappa2 in [0, 1).
 
-    kappa2 above KAPPA2_ZERO_THRESHOLD:
-        alpha = arctan((1/kappa2) sqrt((1 - kappa2^2)/(1 - kappa1^2))),
-        beta  = arctan(kappa1 kappa2 tan(alpha));
-    kappa2 at/below threshold: alpha = pi/2, beta = arcsin(kappa1), which is
-    what the sin/cos relations force there (the printed arctan argument
-    kappa1/sqrt(1-kappa1^2) is the tangent of exactly this beta).
+    With r = sqrt((1 - kappa2^2)/(1 - kappa1^2)), alpha = atan2(r, kappa2) and
+    beta = arctan(kappa1 r), so tan(beta) = kappa1 kappa2 tan(alpha).  No case
+    is needed at kappa2 = 0: there alpha = pi/2 and beta = arcsin(kappa1).
 
     Takes moduli only.  Complex extension parameters are not handled
     anywhere yet (ROADMAP Direction 10).
@@ -78,13 +71,8 @@ def coupling_angles(kappa1: float, kappa2: float) -> CouplingAngles:
     for name, k in (("kappa1", k1), ("kappa2", k2)):
         if not (0.0 <= k < 1.0):
             raise OutOfRange(f"{name} = {k} outside [0, 1)")
-    if k2 <= KAPPA2_ZERO_THRESHOLD:
-        return CouplingAngles(_HALF_PI, math.asin(k1), kappa2_is_zero=True)
     ratio = math.sqrt((1.0 - k2 * k2) / (1.0 - k1 * k1))
-    alpha = math.atan(ratio / k2)
-    # tan(beta) = kappa1 kappa2 tan(alpha) with tan(alpha) folded in exactly
-    beta = math.atan(k1 * ratio)
-    return CouplingAngles(alpha, beta, kappa2_is_zero=False)
+    return CouplingAngles(math.atan2(ratio, k2), math.atan(k1 * ratio))
 
 
 def couple_livsic(s1: AnalyticFn, s2: AnalyticFn, angles: CouplingAngles) -> AnalyticFn:
@@ -134,19 +122,15 @@ def general_k_identity_defect(
     cc, ss = angles.trig()
     a1 = cc + k * ss
     a2 = ss + k * cc
-    s = couple_livsic(s1, s2, angles)
-    zs = grid.points
-    v, v1, v2 = s(zs), s1(zs), s2(zs)
-    lhs = MoebiusMap.disk_automorphism(k).values(v)
-    rhs = divide_off_pole(
-        a1 * v1 + a2 * v2 - v1 * v2 - k, a2 * v1 + a1 * v2 - k * v1 * v2 - 1.0, 1e-14
-    )
-    defect = np.abs(lhs - rhs)
-    pole = np.isnan(defect)
-    if pole.any():
-        z = complex(zs[np.argmax(pole)])
-        raise PoleEncountered(f"identity denominator vanished at z = {z}")
-    return float(np.max(defect))
+    lhs = MoebiusMap.disk_automorphism(k).after(
+        couple_livsic(s1, s2, angles), FnKind.GENERIC, f"general-k left[k={k}]")
+
+    def rhs(zs):
+        v1, v2 = s1.evaluator(zs), s2.evaluator(zs)
+        return divide_off_pole(a1 * v1 + a2 * v2 - v1 * v2 - k,
+                               a2 * v1 + a1 * v2 - k * v1 * v2 - 1.0, 1e-14)
+
+    return sup_deviation(lhs, AnalyticFn(rhs, FnKind.GENERIC, f"general-k right[k={k}]"), grid)
 
 
 def add_weyl(M1: AnalyticFn, M2: AnalyticFn, alpha: float) -> AnalyticFn:

@@ -1,7 +1,7 @@
 """Closed forms for the first-order differentiation model on [0, ell]: its
 contractive function, characteristic function exp(i ell z), extension
 parameter exp(-ell), the explicit deficiency elements g_+ and g_-, and the
-interval-splitting consistency check.
+interval split as an operator coupling of the models on the two parts.
 
 The quadrature route to the same contractive function lives in
 :mod:`livcalc.oracle` and deliberately shares no integration code with the
@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coupling import TaggedCharacteristic, multiply_characteristic
+from .coupling import couple_livsic, coupling_angles
 from .core import AnalyticFn, EvaluationGrid, FnKind, sup_deviation
 
 
@@ -112,23 +112,16 @@ def g_minus(ell: float) -> DeficiencyElement:
 def split_interval_check(
     ell: float, gamma_fraction: float, grid: EvaluationGrid
 ) -> float:
-    """The larger of two defects of the split ell = ell1 + ell2, with
-    ell1 = gamma_fraction * ell: the sup over the grid of
-    |e^{i ell z} - e^{i ell1 z} e^{i ell2 z}|, and the distance of the
-    product's parameter tag e^{-ell1} e^{-ell2} from e^{-ell}.
-
-    The product side is assembled through :func:`multiply_characteristic`."""
+    """The coupling theorem on the split ell = ell1 + ell2, with
+    ell1 = gamma_fraction * ell: the sup over the grid of |s_ell - s|, where
+    s = couple_livsic(s_ell1, s_ell2, coupling_angles(e^{-ell1}, e^{-ell2})).
+    A wrong or swapped pair of parameters fails it."""
     ell = _require_positive_length(ell)
     gamma = float(gamma_fraction)
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma_fraction = {gamma} outside (0, 1)")
     ell1 = gamma * ell
-    whole = model_closed_forms(ell)
     part1 = model_closed_forms(ell1)
     part2 = model_closed_forms(ell - ell1)
-    product = multiply_characteristic(
-        TaggedCharacteristic(part1.characteristic, part1.kappa),
-        TaggedCharacteristic(part2.characteristic, part2.kappa),
-    )
-    tag_defect = abs(product.kappa - whole.kappa)
-    return max(sup_deviation(whole.characteristic, product.fn, grid), tag_defect)
+    coupled = couple_livsic(part1.livsic, part2.livsic, coupling_angles(part1.kappa, part2.kappa))
+    return sup_deviation(model_closed_forms(ell).livsic, coupled, grid)

@@ -162,7 +162,7 @@ def general_k_defect(
 
 
 def interval_split_defect(splits: Iterable[Tuple[float, float]], grid: EvaluationGrid) -> float:
-    """Worst defect, values or parameter tag, over the (ell, fraction) splits."""
+    """Worst coupling-theorem defect of the model over the (ell, fraction) splits."""
     return max(model_mod.split_interval_check(ell, gamma, grid) for ell, gamma in splits)
 
 
@@ -403,9 +403,9 @@ def coupling_checks() -> List[CheckResult]:
         for k1 in np.arange(0.0, 0.95, 0.1):
             for k2 in np.arange(0.0, 0.95, 0.1):
                 ang = coupling_angles(k1, k2)
-                worst = max(worst, abs(math.sin(ang.beta) - k1 * math.sin(ang.alpha)))
-                if not ang.kappa2_is_zero:
-                    worst = max(worst, abs(math.cos(ang.beta) - math.cos(ang.alpha) / k2))
+                worst = max(worst, abs(math.sin(ang.beta) - k1 * math.sin(ang.alpha)),
+                            abs(math.cos(ang.beta) - math.cos(ang.alpha) / k2) if k2 > 0.0
+                            else abs(math.cos(ang.alpha)))
                 worst = max(worst, abs(math.sin(ang.beta) ** 2 + math.cos(ang.beta) ** 2 - 1.0))
         return worst
 

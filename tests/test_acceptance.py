@@ -108,7 +108,8 @@ def test_criterion_5_model_oracle():
 def test_criterion_6_interval_split():
     splits = [(ell, gamma) for ell in (1.0, 2.0, 3.0) for gamma in (0.25, 0.5, 0.75)]
     worst = verify.interval_split_defect(splits, GRID)
-    assert report(6, "interval-split", worst, 1e-14, extra="kappa tag defect included")
+    assert report(6, "interval-split", worst, 1e-14,
+                  extra="s_ell against the coupling of its two parts")
 
 
 def test_criterion_7_measure_round_trip():

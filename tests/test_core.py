@@ -140,7 +140,6 @@ class TestToleranceConfig:
         cfg = ToleranceConfig()
         assert cfg.identity_tol == 1e-10
         assert cfg.quadrature_tol == 1e-8
-        assert cfg.kappa2_zero_threshold == 1e-12
         assert cfg.inversion_rel_tol == 0.02
 
     @pytest.mark.parametrize("bad", [0.0, -1e-3, 1.0, 2.0])

@@ -31,7 +31,7 @@ from livcalc import (
     verify_class_properties,
 )
 from livcalc.core import IDENTITY_TOL
-from livcalc.verify import bundled_corpus, multiplication_chain_defects
+from livcalc.verify import bundled_corpus
 
 GRID = default_grid()
 S_HALF = model_closed_forms(0.5).livsic
@@ -45,7 +45,6 @@ kappa_range = st.floats(0.0, 0.95, exclude_max=True)
 class TestCouplingAngles:
     def test_both_zero(self):
         ang = coupling_angles(0.0, 0.0)
-        assert ang.kappa2_is_zero
         assert ang.alpha == math.pi / 2
         assert ang.beta == 0.0
 
@@ -58,7 +57,6 @@ class TestCouplingAngles:
 
     def test_degenerate_branch(self):
         ang = coupling_angles(0.6, 0.0)
-        assert ang.kappa2_is_zero
         assert ang.alpha == math.pi / 2
         assert abs(ang.beta - 0.6435011087932844) < 1e-15
         assert abs(math.sin(ang.beta) - 0.6) < 1e-15
@@ -78,7 +76,7 @@ class TestCouplingAngles:
             for k2 in np.arange(0.0, 0.95, 0.1):
                 ang = coupling_angles(k1, k2)
                 worst = max(worst, abs(math.sin(ang.beta) - k1 * math.sin(ang.alpha)))
-                if ang.kappa2_is_zero:
+                if k2 == 0.0:
                     worst = max(worst, abs(math.cos(ang.beta) - math.sqrt(1 - k1 * k1)))
                 else:
                     worst = max(worst, abs(math.cos(ang.beta) - math.cos(ang.alpha) / k2))
@@ -86,6 +84,12 @@ class TestCouplingAngles:
                     worst,
                     abs(math.sin(ang.beta) ** 2 + math.cos(ang.beta) ** 2 - 1.0),
                 )
+            # near kappa2 = 0, where cos(alpha)/kappa2 magnifies the rounding
+            # of alpha, the relation is checked as cos(alpha) = kappa2 cos(beta)
+            for k2 in (1e-300, 1e-13, 1e-12, 1e-11):
+                ang = coupling_angles(k1, k2)
+                worst = max(worst, abs(math.sin(ang.beta) - k1 * math.sin(ang.alpha)),
+                            abs(math.cos(ang.alpha) - k2 * math.cos(ang.beta)))
         assert worst < 1e-14
 
     @given(kappa_range, kappa_range)
@@ -96,15 +100,12 @@ class TestCouplingAngles:
     def test_type_range_validation(self):
         with pytest.raises(ValueError):
             CouplingAngles(-0.1, 0.0)
-        with pytest.raises(ValueError):
-            CouplingAngles(math.pi / 4, 0.0, kappa2_is_zero=True)
 
     def test_threshold_branch_is_a_continuous_limit(self):
-        # the parametrization converges to the degenerate branch as
-        # kappa2 -> 0+, so outputs on both sides of the threshold agree
+        # the parametrization is continuous as kappa2 -> 0+, so the coupling
+        # at a tiny kappa2 agrees with the one at kappa2 = 0
         near = coupling_angles(0.5, 1e-11)
         degenerate = coupling_angles(0.5, 0.0)
-        assert not near.kappa2_is_zero and degenerate.kappa2_is_zero
         coupled_near = couple_livsic(S_HALF, S_ONE, near)
         coupled_zero = couple_livsic(S_HALF, S_ONE, degenerate)
         assert sup_deviation(coupled_near, coupled_zero, GRID) < 1e-8
@@ -167,6 +168,19 @@ class TestGeneralKIdentity:
         t2 = TaggedCharacteristic(characteristic_from_livsic(S_ONE, k2), k2)
         product = multiply_characteristic(t1, t2)
         assert sup_deviation(lhs, product.fn, GRID) < 1e-10
+
+    def test_vanishing_right_denominator_is_a_pole(self):
+        # at k = 0 and cc = 1 the right side's denominator a1 s2 - 1 (and the
+        # coupling's 1 - s2) is 5e-15 in modulus, below the 1e-14 floor: the
+        # AnalyticFn guard raises, as in any other sweep
+        with pytest.raises(PoleEncountered):
+            general_k_identity_defect(
+                0.0,
+                constant_fn(0.5, FnKind.LIVSIC),
+                constant_fn(1 - 5e-15, FnKind.LIVSIC),
+                CouplingAngles(0.0, 0.0),
+                GRID,
+            )
 
     def test_rejects_bad_k(self):
         with pytest.raises(OutOfRange):
@@ -252,12 +266,6 @@ class TestMultiplyCharacteristic:
 
 
 class TestMultiplicationChain:
-    @pytest.mark.parametrize("k1", [0.0, 0.25, 0.5, 0.75])
-    @pytest.mark.parametrize("k2", [0.0, 0.25, 0.5, 0.75])
-    def test_chain_identity(self, k1, k2):
-        chain, kappa = multiplication_chain_defects(S_HALF, S_ONE, [(k1, k2)], GRID)
-        assert chain < 1e-10 and kappa < 1e-12
-
     def test_kappa_modulus_multiplicative(self):
         t1 = TaggedCharacteristic(characteristic_from_livsic(S_ONE, 0.5j), 0.5j)
         t2 = TaggedCharacteristic(characteristic_from_livsic(S_HALF, -0.3), -0.3)

@@ -78,8 +78,8 @@ def test_worst_deviations_are_nonnegative(capsys):
 
 
 def test_broken_tag_is_a_failed_check(capsys, monkeypatch):
-    # a parameter tag off by 1e-6: the split's product tag no longer matches
-    # its characteristic function at i, which raises inside the check
+    # a parameter tag off by 1e-6: the split couples its parts at the wrong
+    # angles, so the coupled function misses s_ell
     closed_forms = model_mod.model_closed_forms
 
     def off_tag(ell):
@@ -88,7 +88,20 @@ def test_broken_tag_is_a_failed_check(capsys, monkeypatch):
 
     monkeypatch.setattr(model_mod, "model_closed_forms", off_tag)
     assert cli.main(["verify-all"]) == 1
-    assert failed_checks(capsys) == [("model", "interval-split", "inf")]
+    [(suite, name, worst)] = failed_checks(capsys)
+    assert (suite, name) == ("model", "interval-split")
+    assert 1e-14 < float(worst) < 1e-3
+
+
+def test_swapped_coupling_parameters_fail_only_the_split_check(capsys, monkeypatch):
+    # the coupling theorem holds for (e^{-ell1}, e^{-ell2}) in this order:
+    # with the angles of the swapped pair the coupled function misses s_ell
+    angles = model_mod.coupling_angles
+    monkeypatch.setattr(model_mod, "coupling_angles", lambda k1, k2: angles(k2, k1))
+    assert cli.main(["verify-all"]) == 1
+    [(suite, name, worst)] = failed_checks(capsys)
+    assert (suite, name) == ("model", "interval-split")
+    assert 1.0 < float(worst) < 2.0
 
 
 def test_error_in_shared_input_fails_its_checks(capsys, monkeypatch):
@@ -206,8 +219,9 @@ def test_benchmark_tracer_sees_every_suite(capsys):
     # (the reference-change cross-route law makes 2 calls per angle, 8 in all;
     # the involution check's contraction probe 1 per kappa, 4 in all; the
     # two-factor Blaschke probe of the class verdicts 2; the two peak
-    # refinements 6 each)
-    assert tracer.counts["core.scalar_calls"] == 212
+    # refinements 6 each; the general-k identity 2 per triple, one per side;
+    # the interval split 2 per split, s_ell and the coupling of its parts)
+    assert tracer.counts["core.scalar_calls"] == 200
     # the inversion check's peak refinements: a tracer that loses the
     # binding of measure.minimize_scalar, or its nfev, reads 0 here
     assert tracer.counts["measure.refine.calls"] == 2
