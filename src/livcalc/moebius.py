@@ -4,10 +4,11 @@ automorphisms, and the half-plane rotation subgroup.
 This is the one implementation of each map and of its pole rule: the
 function-level bridges (``characteristic_from_livsic``, ``livsic_from_weyl``,
 ``reference_change_weyl``, ``cayley_probe``, the general-k identity) compose
-with :meth:`MoebiusMap.after` or evaluate :meth:`MoebiusMap.values`.  The
-scalar :meth:`MoebiusMap.__call__` stays in Python-complex arithmetic: it is
-the reference the array path is checked against, and a point call through
-numpy costs more than ten times as much.
+with :meth:`MoebiusMap.after` or evaluate :meth:`MoebiusMap.values`, and
+the ``verify-all`` battery checks the maps on that same array path.  The
+scalar :meth:`MoebiusMap.__call__` stays in Python-complex arithmetic as the
+tests' independent reference for the array path; nothing in the package
+calls it.
 """
 
 from __future__ import annotations

@@ -112,6 +112,8 @@ def bundled_corpus() -> List[AnalyticFn]:
         label="minus interval-model s[ell=1]",
     )
     s_tagged = characteristic_from_livsic(s_half, 0.5)
+    # a complex parameter: a product tag that drops a conjugate misses (S1 S2)(i)
+    s_complex = characteristic_from_livsic(s_one, 0.3 + 0.4j)
     return [
         M1,
         M2,
@@ -122,6 +124,7 @@ def bundled_corpus() -> List[AnalyticFn]:
         forms2.characteristic,
         minus_s,
         s_tagged,
+        s_complex,
     ]
 
 
@@ -205,40 +208,20 @@ def boundary_relation_defect(ells: Iterable[float]) -> float:
     return worst
 
 
-#: The real root of x^5 = x + 1; its powers 1/g, ..., 1/g^4 step the
-#: four-dimensional Kronecker sequence of :func:`disk_pairs`.
-_GOLDEN_4 = 1.1673039782614187
-
-
-def disk_pairs(count: int) -> List[Tuple[complex, complex]]:
-    """``count`` (kappa, w) pairs in the disk of radius 0.95, in polar form
-    from the Kronecker sequence u_j = frac(1/2 + j (1/g, ..., 1/g^4)): the
-    moduli 0.95 u_1 and 0.95 u_3, the arguments 2 pi u_2 and 2 pi u_4.
-    Evenly spread over the moduli and the whole circle, and deterministic
-    without a random generator."""
-    steps = [_GOLDEN_4 ** -k for k in range(1, 5)]
-    pairs = []
-    for j in range(1, count + 1):
-        r1, t1, r2, t2 = ((0.5 + j * step) % 1.0 for step in steps)
-        pairs.append((cmath.rect(0.95 * r1, 2.0 * math.pi * t1),
-                      cmath.rect(0.95 * r2, 2.0 * math.pi * t2)))
-    return pairs
-
-
-def disk_involution_defect(pairs: Iterable[Tuple[complex, complex]]) -> float:
-    """Worst |T(T(w)) - w| of the disk automorphism T at kappa over the
-    (kappa, w) pairs."""
+def disk_involution_defect(kappas: Iterable[complex], ws: np.ndarray) -> float:
+    """Worst |T(T(w)) - w| of the disk automorphism T at each kappa over
+    the disk points ``ws``."""
     worst = 0.0
-    for kappa, w in pairs:
+    for kappa in kappas:
         T = MoebiusMap.disk_automorphism(kappa)
-        worst = max(worst, abs(T(T(w)) - w))
+        worst = max(worst, float(np.max(np.abs(T.values(T.values(ws)) - ws))))
     return worst
 
 
-def cayley_round_trip_defect(zs: Iterable[complex]) -> float:
+def cayley_round_trip_defect(zs: np.ndarray) -> float:
     """Worst |K^{-1}(K(z)) - z| of the Cayley transform K over the points."""
     K, Kinv = MoebiusMap.cayley(), MoebiusMap.inverse_cayley()
-    return max(abs(Kinv(K(z)) - z) for z in zs)
+    return float(np.max(np.abs(Kinv.values(K.values(zs)) - zs)))
 
 
 def reference_rotation_defect(s: AnalyticFn, M: AnalyticFn, alphas, zs: np.ndarray) -> float:
@@ -308,17 +291,19 @@ def core_checks() -> List[CheckResult]:
 
 
 def moebius_checks() -> List[CheckResult]:
-    grid = default_grid()
-    K = MoebiusMap.cayley()
-    pairs = disk_pairs(200)
+    zs = default_grid().points
+    # the Cayley image of the grid reaches |w| = 0.992
+    ws = functools.cache(lambda: MoebiusMap.cayley().values(zs))
+    # real, negative and complex parameters
+    kappas = [0.0] + [cmath.rect(r, math.pi * k / 3) for r in (0.5, 0.95) for k in range(6)]
     alphas = np.linspace(0.0, math.pi, 16, endpoint=False)
     return run_checks([
         ("cayley-contracts-halfplane", 1e-12,
-         lambda: max(0.0, max(abs(K(z)) for z in grid) - 1.0)),
-        ("cayley-round-trip", 1e-12, lambda: cayley_round_trip_defect(grid)),
-        ("disk-automorphism-involution", 1e-12, lambda: disk_involution_defect(pairs)),
+         lambda: float(np.max(np.abs(ws()), initial=1.0)) - 1.0),
+        ("cayley-round-trip", 1e-12, lambda: cayley_round_trip_defect(zs)),
+        ("disk-automorphism-involution", 1e-12, lambda: disk_involution_defect(kappas, ws())),
         ("rotation-fixes-i", 1e-15,
-         lambda: max(abs(MoebiusMap.halfplane_rotation(a)(1j) - 1j) for a in alphas)),
+         lambda: max(abs(MoebiusMap.halfplane_rotation(a).values(1j) - 1j) for a in alphas)),
     ])
 
 

@@ -144,7 +144,8 @@ def test_criterion_9_structural():
     phases = rng.uniform(0.0, 2 * math.pi, n)
     kappas = 0.99 * rng.uniform(0.0, 1.0, n) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, n))
     ws = radii * np.exp(1j * phases)
-    worst_involution = verify.disk_involution_defect(zip(kappas, ws))
+    # each of the first 100 automorphisms at all n points: 10^6 pairs
+    worst_involution = verify.disk_involution_defect(kappas[:100], ws)
 
     zs = rng.uniform(-20.0, 20.0, n) + 1j * rng.uniform(0.05, 20.0, n)
     worst_cayley = verify.cayley_round_trip_defect(zs)

@@ -1,6 +1,9 @@
 import cmath
 import math
+import random
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -161,3 +164,44 @@ def test_bridge_matches_scalar_reference(bridge, moebius, inner):
     for k, z in enumerate(GRID):
         ref = moebius(z if inner is None else inner(z))
         assert abs(values[k] - ref) <= 1e-15 * max(1.0, abs(ref)), z
+
+
+def _seeded_points(moebius, upper):
+    """300 seeded points: in the upper half-plane with |Re z| up to 1e4 and
+    Im z from 1e-8 to 1e2, or in the disk |w| < 0.999 with the distance to
+    its edge log-uniform."""
+    rng = random.Random(repr(moebius))
+    if upper:
+        return [complex(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 4.0),
+                        10.0 ** rng.uniform(-8.0, 2.0)) for _ in range(300)]
+    return [cmath.rect(0.999 * (1.0 - 10.0 ** rng.uniform(-12.0, 0.0)),
+                       rng.uniform(0.0, 2.0 * math.pi)) for _ in range(300)]
+
+
+def _array_maps():
+    """(map, whether it acts on the half-plane) for each map family."""
+    cases = [pytest.param(MoebiusMap.cayley(), True, id="cayley"),
+             pytest.param(MoebiusMap.inverse_cayley(), False, id="inverse_cayley")]
+    cases += [pytest.param(MoebiusMap.disk_automorphism(kappa), False,
+                           id=f"disk_automorphism[{kappa}]")
+              for kappa in (0.0, 0.5, cmath.rect(0.95, 1.0), -0.6j, 0.999)]
+    cases += [pytest.param(MoebiusMap.halfplane_rotation(alpha), True,
+                           id=f"halfplane_rotation[{alpha}]")
+              for alpha in (0.3, 1.0, 2.5)]
+    return cases
+
+
+@pytest.mark.parametrize("moebius,upper", _array_maps())
+def test_array_map_against_mpmath(moebius, upper):
+    # the rounding of the numerator and the denominator, each relative to
+    # the sizes of its terms, carried through the quotient
+    points = _seeded_points(moebius, upper)
+    values = moebius.values(np.array(points))
+    a, b, c, d = (abs(coef) for coef in (moebius.a, moebius.b, moebius.c, moebius.d))
+    with mpmath.workdps(40):
+        A, B, C, D = (mpmath.mpc(coef) for coef in (moebius.a, moebius.b, moebius.c, moebius.d))
+        for z, w in zip(points, values):
+            den = C * z + D
+            exact = complex((A * z + B) / den)
+            bound = 8 * 2.0**-53 * (a * abs(z) + b + abs(exact) * (c * abs(z) + d)) / abs(den)
+            assert abs(w - exact) <= bound, z

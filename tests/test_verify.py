@@ -5,8 +5,11 @@ import importlib.util
 import json
 import os
 
-from livcalc import FnKind, MoebiusMap, cli, extension, oracle, verify
-from livcalc.core import default_grid
+import numpy as np
+
+from livcalc import FnKind, MoebiusMap, cli, coupling, extension, oracle, verify
+from livcalc.core import default_grid, divide_off_pole
+from livcalc.coupling import TaggedCharacteristic
 from livcalc import model as model_mod
 from livcalc.model import ModelFunctions
 
@@ -162,13 +165,46 @@ def test_wrong_oracle_weight_fails_only_the_oracle_check(capsys, monkeypatch):
 
 def test_automorphism_without_conjugate_fails_only_the_involution_check(capsys, monkeypatch):
     # w -> (w - kappa)/(kappa w - 1) is an involution that sends 0 to kappa
-    # too, but for complex kappa it does not keep the disk: |S| exceeds 1
+    # too, but for complex kappa it does not keep the disk: |S| exceeds 1,
+    # in the involution check and at the corpus's complex-parameter sample
     monkeypatch.setattr(MoebiusMap, "disk_automorphism",
                         classmethod(lambda cls, kappa: cls(1.0, -kappa, kappa, -1.0)))
     assert cli.main(["verify-all"]) == 1
-    [(suite, name, worst)] = failed_checks(capsys)
-    assert (suite, name) == ("extension", "involution-and-kappa-extraction")
-    assert 1e-12 < float(worst) < 1e3
+    failed = failed_checks(capsys)
+    assert [(suite, name) for suite, name, _ in failed] == [
+        ("coupling", "class-properties(i-iv)"),
+        ("extension", "involution-and-kappa-extraction"),
+    ]
+    assert all(1e-12 < float(worst) < 1e3 for _, _, worst in failed)
+
+
+def test_conjugated_product_tag_fails_the_class_laws(capsys, monkeypatch):
+    # tagging S1 S2 with kappa1 conj(kappa2) agrees with (S1 S2)(i) only for
+    # real kappa2: the corpus's complex-parameter sample rejects the tag
+    multiply = coupling.multiply_characteristic
+
+    def conjugated(t1, t2):
+        product = multiply(t1, t2)
+        return TaggedCharacteristic(product.fn, t1.kappa * complex(t2.kappa).conjugate())
+
+    monkeypatch.setattr(coupling, "multiply_characteristic", conjugated)
+    assert cli.main(["verify-all"]) == 1
+    assert failed_checks(capsys) == [("coupling", "class-properties(i-iv)", "inf")]
+
+
+def test_conjugated_array_map_fails_the_moebius_suite(capsys, monkeypatch):
+    # conj(b) in the numerator of MoebiusMap.values, the path every bridge
+    # runs: the Cayley transform becomes the constant 1, where its inverse
+    # has its pole
+    def conjugated(self, w):
+        return divide_off_pole(self.a * w + np.conj(self.b), self.c * w + self.d,
+                               self.pole_floor)
+
+    monkeypatch.setattr(MoebiusMap, "values", conjugated)
+    assert cli.main(["verify-all"]) == 1
+    assert ("moebius", "cayley-round-trip") in [
+        (suite, name) for suite, name, _ in failed_checks(capsys)
+    ]
 
 
 def test_low_growth_threshold_fails_only_the_verdict_check(capsys, monkeypatch):
@@ -212,16 +248,18 @@ def test_benchmark_tracer_sees_every_suite(capsys):
     capsys.readouterr()
     assert code == 0
     assert tracer.counts["oracle.quadrature.calls"] == 1326
-    # the library's bridges evaluate MoebiusMap.values, not the counted
-    # scalar __call__, so the per-layer count stays comparable
-    assert tracer.counts["moebius.calls"] == 1742
+    # the battery, like every bridge, evaluates MoebiusMap.values, not the
+    # counted scalar __call__, which only the tests call as a reference
+    assert tracer.counts["moebius.calls"] == 0
     # every AnalyticFn call, point or array: a change that adds calls shows here
     # (the reference-change cross-route law makes 2 calls per angle, 8 in all;
     # the involution check's contraction probe 1 per kappa, 4 in all; the
     # two-factor Blaschke probe of the class verdicts 2; the two peak
     # refinements 6 each; the general-k identity 2 per triple, one per side;
-    # the interval split 2 per split, s_ell and the coupling of its parts)
-    assert tracer.counts["core.scalar_calls"] == 200
+    # the interval split 2 per split, s_ell and the coupling of its parts;
+    # the corpus's complex-parameter sample 12: 2 for its tag, and 2 for
+    # each of its 5 products, the tag at i and the contraction sweep)
+    assert tracer.counts["core.scalar_calls"] == 212
     # the inversion check's peak refinements: a tracer that loses the
     # binding of measure.minimize_scalar, or its nfev, reads 0 here
     assert tracer.counts["measure.refine.calls"] == 2
