@@ -197,6 +197,22 @@ def min_imag(f: AnalyticFn, grid: EvaluationGrid) -> float:
     return float(np.min(f(grid.points).imag))
 
 
+def worst_of(deviations) -> float:
+    """The largest of the deviations, numbers and arrays in any mix, clipped
+    below at 0; NaN as soon as one value is NaN, where the builtin ``max``
+    drops a NaN that is not the first item.  No deviation at all raises
+    ValueError: a sweep over nothing verifies nothing."""
+    worst = None
+    for d in deviations:
+        d = float(d.max()) if isinstance(d, np.ndarray) else float(d)
+        if math.isnan(d):
+            return math.nan
+        worst = d if worst is None or d > worst else worst
+    if worst is None:
+        raise ValueError("no deviations to reduce")
+    return worst if worst > 0.0 else 0.0
+
+
 def constant_fn(value: complex, kind: FnKind = FnKind.GENERIC,
                 label: str = "") -> AnalyticFn:
     """Constant probe function."""

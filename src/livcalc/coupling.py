@@ -22,6 +22,7 @@ from .core import (
     max_modulus,
     min_imag,
     sup_deviation,
+    worst_of,
 )
 from .errors import OutOfRange
 from .extension import ensure_kappa, extract_kappa
@@ -198,11 +199,11 @@ def convexity_defects(
     M1: AnalyticFn, M2: AnalyticFn, alphas: Iterable[float], grid: EvaluationGrid
 ) -> Tuple[float, float]:
     """The addition law over the angles, for M = cos^2(alpha) M1 +
-    sin^2(alpha) M2: the worst |M(i) - i| and the worst -min Im M over the
-    grid, which is negative when M maps the grid strictly into the
-    half-plane."""
+    sin^2(alpha) M2: the worst |M(i) - i| and the signed worst -min Im M over
+    the grid, negative when M maps the grid strictly into the half-plane."""
     sums = [add_weyl(M1, M2, alpha) for alpha in alphas]
-    return max(abs(M(1j) - 1j) for M in sums), max(-min_imag(M, grid) for M in sums)
+    return (worst_of(abs(M(1j) - 1j) for M in sums),
+            float(np.max([-min_imag(M, grid) for M in sums])))
 
 
 _CONVEXITY_ANGLES = (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
@@ -212,11 +213,11 @@ def _pairs(items: Sequence) -> List[tuple]:
     return list(itertools.combinations_with_replacement(items, 2))
 
 
-def _worst(law: str, deviations: Iterable[float]) -> Tuple[str, float]:
+def _worst(law: str, deviations: Iterable) -> Tuple[str, float]:
     deviations = list(deviations)
     if not deviations:
         raise ValueError(f"{law}: the corpus has no sample pair for this law")
-    return law, max(deviations)
+    return law, worst_of(deviations)
 
 
 def verify_class_properties(
@@ -252,14 +253,14 @@ def verify_class_properties(
     livsic_values = [(s(1j), s(zs)) for s in livsic]
     return [
         _worst("herglotz-convexity",
-               (max(convexity_defects(M1, M2, _CONVEXITY_ANGLES, grid))
-                for M1, M2 in _pairs(herglotz))),
+               (d for M1, M2 in _pairs(herglotz)
+                for d in convexity_defects(M1, M2, _CONVEXITY_ANGLES, grid))),
         _worst("characteristic-multiplication",
-               (max(p.tag_defect, max_modulus(p.fn, grid) - 1.0) for p, _ in products)),
+               (d for p, _ in products for d in (p.tag_defect, max_modulus(p.fn, grid) - 1.0))),
         _worst("vanishing-ideal",
                (abs(p.kappa) + p.tag_defect for p, (t1, t2) in products
                 if min(abs(t1.kappa), abs(t2.kappa)) < IDENTITY_TOL)),
         _worst("livsic-multiplication",
-               (max(abs(a1 * a2), float(np.max(np.abs(v1 * v2))) - 1.0)
-                for (a1, v1), (a2, v2) in _pairs(livsic_values))),
+               (d for (a1, v1), (a2, v2) in _pairs(livsic_values)
+                for d in (abs(a1 * a2), np.abs(v1 * v2) - 1.0))),
     ]

@@ -1,8 +1,10 @@
 """Invariant suites, one per module, runnable as a batch.
 
-Each check compares a worst-case deviation against its pinned tolerance.
-A suite builds the inputs its checks share inside those checks, on first
-use, so that an error there fails the checks instead of the battery.
+Each check reduces its deviations with :func:`livcalc.core.worst_of`,
+which keeps a NaN, to one worst value against its pinned tolerance.  A
+NaN fails, and so does any exception raised inside the check, with worst
+inf.  A suite builds the inputs its checks share inside those checks, on
+first use, so that an error there fails the checks instead of the battery.
 The CLI exposes the whole battery as ``livcalc verify-all``; the acceptance
 tests drive the same checks with their own sweeps on top.
 
@@ -28,13 +30,12 @@ from . import model as model_mod
 from . import oracle as oracle_mod
 from .core import (
     IDENTITY_TOL, INVERSION_REL_TOL, QUADRATURE_TOL, AnalyticFn, EvaluationGrid, FnKind,
-    constant_fn, default_grid, fmt_float, max_modulus, min_imag, sup_deviation,
+    constant_fn, default_grid, fmt_float, max_modulus, min_imag, sup_deviation, worst_of,
 )
 from .coupling import (
     CouplingAngles, TaggedCharacteristic, convexity_defects, couple_livsic, coupling_angles,
     general_k_identity_defect, multiply_characteristic, verify_class_properties,
 )
-from .errors import LivcalcError
 from .extension import (
     ClassVerdict, cayley_probe, characteristic_from_livsic, class_C_check, extract_kappa,
     reference_change_livsic, reference_change_weyl,
@@ -72,14 +73,14 @@ class CheckResult:
 def run_checks(checks: Iterable[Tuple[str, float, Callable[[], float]]]) -> List[CheckResult]:
     """Each (name, tolerance, worst-deviation function) check, in order.
 
-    A LivcalcError or ValueError raised inside a check, such as a broken
-    parameter tag, is that check's failure (worst deviation inf), not an
-    error of the battery."""
+    Any exception raised inside a check, a broken parameter tag as much as
+    a program error, is that check's failure (worst deviation inf), not an
+    error of the battery.  A NaN worst deviation fails its check too."""
     results = []
     for name, tol, compute in checks:
         try:
             worst = compute()
-        except (LivcalcError, ValueError):
+        except Exception:
             worst = math.inf
         results.append(CheckResult(name, worst, tol))
     return results
@@ -139,7 +140,7 @@ def multiplication_chain_defects(
     sup deviation of the characteristic function of the coupling at
     kappa1 kappa2 from the product of those of s1 at kappa1 and s2 at
     kappa2, and the worst |product(i) - kappa1 kappa2|."""
-    worst_chain = worst_kappa = 0.0
+    chain, kappa = [], []
     for k1, k2 in kappa_pairs:
         coupled = couple_livsic(s1, s2, coupling_angles(k1, k2))
         left = characteristic_from_livsic(coupled, k1 * k2)
@@ -147,9 +148,9 @@ def multiplication_chain_defects(
             TaggedCharacteristic(characteristic_from_livsic(s1, k1), k1),
             TaggedCharacteristic(characteristic_from_livsic(s2, k2), k2),
         )
-        worst_chain = max(worst_chain, sup_deviation(left, right.fn, grid))
-        worst_kappa = max(worst_kappa, right.tag_defect)
-    return worst_chain, worst_kappa
+        chain.append(sup_deviation(left, right.fn, grid))
+        kappa.append(right.tag_defect)
+    return worst_of(chain), worst_of(kappa)
 
 
 def general_k_defect(
@@ -158,7 +159,7 @@ def general_k_defect(
 ) -> float:
     """Worst general-k coupling identity defect over the (kappa1, kappa2, k)
     triples."""
-    return max(
+    return worst_of(
         general_k_identity_defect(k, s1, s2, coupling_angles(k1, k2), grid)
         for k1, k2, k in sweep
     )
@@ -166,18 +167,18 @@ def general_k_defect(
 
 def interval_split_defect(splits: Iterable[Tuple[float, float]], grid: EvaluationGrid) -> float:
     """Worst coupling-theorem defect of the model over the (ell, fraction) splits."""
-    return max(model_mod.split_interval_check(ell, gamma, grid) for ell, gamma in splits)
+    return worst_of(model_mod.split_interval_check(ell, gamma, grid) for ell, gamma in splits)
 
 
 def oracle_deviation(ells: Iterable[float], grid: EvaluationGrid) -> float:
     """Worst |quadrature oracle - closed form s| over the lengths and grid."""
-    worst = 0.0
+    deviations = []
     for ell in ells:
         closed = model_mod.model_closed_forms(ell).livsic(grid.points)
         # the oracle stays pointwise: it is the independent reference
         oracle = np.array([oracle_mod.model_livsic_quadrature(ell, z) for z in grid])
-        worst = max(worst, float(np.max(np.abs(oracle - closed))))
-    return worst
+        deviations.append(np.abs(oracle - closed))
+    return worst_of(deviations)
 
 
 def norm_defect(elements: Iterable[model_mod.DeficiencyElement]) -> float:
@@ -185,43 +186,37 @@ def norm_defect(elements: Iterable[model_mod.DeficiencyElement]) -> float:
     composite Gauss-Legendre rule at their sampled values.  |g_+-(x)|^2 is
     a multiple of e^{+-2x}, so panels of width at most PANEL_SPAN / 2 = 4
     keep |a| * (panel width) within the oracle's eight radians at |a| = 2."""
-    worst = 0.0
-    for elem in elements:
+    def defect(elem):
         panels = max(1, math.ceil(2.0 * elem.length / oracle_mod.PANEL_SPAN))
         nodes, weights = oracle_mod.composite_rule(panels)
         values = np.array([abs(elem(x)) ** 2 for x in elem.length * nodes])
-        worst = max(worst, abs(math.sqrt(elem.length * (values @ weights)) - 1.0))
-    return worst
+        return abs(math.sqrt(elem.length * (values @ weights)) - 1.0)
+
+    return worst_of(map(defect, elements))
 
 
 def boundary_relation_defect(ells: Iterable[float]) -> float:
     """Worst defect of g_+(0) = e^{-ell} g_-(0) and
     g_+(0) - g_-(0) = g_-(ell) - g_+(ell) over the lengths."""
-    worst = 0.0
-    for ell in ells:
+    def defects(ell):
         gp, gm = model_mod.g_plus(ell), model_mod.g_minus(ell)
-        worst = max(
-            worst,
-            abs(gp(0.0) - math.exp(-ell) * gm(0.0)),
-            abs((gp(0.0) - gm(0.0)) + (gp(ell) - gm(ell))),
-        )
-    return worst
+        return (abs(gp(0.0) - math.exp(-ell) * gm(0.0)),
+                abs((gp(0.0) - gm(0.0)) + (gp(ell) - gm(ell))))
+
+    return worst_of(d for ell in ells for d in defects(ell))
 
 
 def disk_involution_defect(kappas: Iterable[complex], ws: np.ndarray) -> float:
     """Worst |T(T(w)) - w| of the disk automorphism T at each kappa over
     the disk points ``ws``."""
-    worst = 0.0
-    for kappa in kappas:
-        T = MoebiusMap.disk_automorphism(kappa)
-        worst = max(worst, float(np.max(np.abs(T.values(T.values(ws)) - ws))))
-    return worst
+    return worst_of(np.abs(T.values(T.values(ws)) - ws)
+                    for T in map(MoebiusMap.disk_automorphism, kappas))
 
 
 def cayley_round_trip_defect(zs: np.ndarray) -> float:
     """Worst |K^{-1}(K(z)) - z| of the Cayley transform K over the points."""
     K, Kinv = MoebiusMap.cayley(), MoebiusMap.inverse_cayley()
-    return float(np.max(np.abs(Kinv.values(K.values(zs)) - zs)))
+    return worst_of([np.abs(Kinv.values(K.values(zs)) - zs)])
 
 
 def reference_rotation_defect(s: AnalyticFn, M: AnalyticFn, alphas, zs: np.ndarray) -> float:
@@ -232,33 +227,30 @@ def reference_rotation_defect(s: AnalyticFn, M: AnalyticFn, alphas, zs: np.ndarr
     function of M rotated."""
     modulus = np.abs(s(zs))
     s_of_M = livsic_from_weyl(M)
-    worst = 0.0
-    for alpha in alphas:
+
+    def defects(alpha):
         rotated = np.abs(reference_change_livsic(s, alpha)(zs))
         M_rotated = reference_change_weyl(M, alpha)
-        worst = max(
-            worst,
-            float(np.max(np.abs(rotated - modulus))),
-            abs(M_rotated(1j) - 1j),
-            float(np.max(np.abs(livsic_from_weyl(M_rotated)(zs)
-                                - reference_change_livsic(s_of_M, alpha)(zs)))),
-        )
-    return worst
+        return (np.abs(rotated - modulus), abs(M_rotated(1j) - 1j),
+                np.abs(livsic_from_weyl(M_rotated)(zs)
+                       - reference_change_livsic(s_of_M, alpha)(zs)))
+
+    return worst_of(d for alpha in alphas for d in defects(alpha))
 
 
 def measure_round_trip_defects(measures: Iterable[BorelMeasureModel]) -> Tuple[float, float]:
     """Stieltjes inversion of each measure over [-2, 2] at eps 1e-2, 1e-3,
     1e-4: the worst relative weight error and location error (in scan
     spacings) of the atoms, both inf when an atom count is wrong."""
-    worst_weight = worst_location = 0.0
+    weights, locations = [], []
     for mu in measures:
         result = stieltjes_invert(realize_herglotz(mu), (-2.0, 2.0), (1e-2, 1e-3, 1e-4))
         if len(result.atoms) != len(mu.atoms):
             return math.inf, math.inf
         for atom, (loc, weight) in zip(result.atoms, sorted(mu.atoms)):
-            worst_weight = max(worst_weight, abs(atom.weight - weight) / weight)
-            worst_location = max(worst_location, abs(atom.location - loc) / result.scan_spacing)
-    return worst_weight, worst_location
+            weights.append(abs(atom.weight - weight) / weight)
+            locations.append(abs(atom.location - loc) / result.scan_spacing)
+    return worst_of(weights), worst_of(locations)
 
 
 # --- the suites ----------------------------------------------------------------
@@ -274,18 +266,14 @@ def core_checks() -> List[CheckResult]:
         return sup_deviation(u, v, grid)
 
     def contractive():
-        worst = 0.0
-        for ell in (0.5, 1.0, 2.0):
-            forms = model_mod.model_closed_forms(ell)
-            worst = max(worst, max_modulus(forms.livsic, grid) - 1.0,
-                        max_modulus(forms.characteristic, grid) - 1.0)
-        return worst
+        forms = [model_mod.model_closed_forms(ell) for ell in (0.5, 1.0, 2.0)]
+        return worst_of(max_modulus(fn, grid) - 1.0
+                        for m in forms for fn in (m.livsic, m.characteristic))
 
     return run_checks([
         ("self-deviation-zero", 1e-15, lambda: dev(f(), f())),
         ("deviation-symmetry", 1e-15, lambda: abs(dev(f(), g) - dev(g, f()))),
-        ("deviation-triangle", 1e-15,
-         lambda: max(0.0, dev(f(), h) - (dev(f(), g) + dev(g, h)))),
+        ("deviation-triangle", 1e-15, lambda: worst_of([dev(f(), h) - (dev(f(), g) + dev(g, h))])),
         ("livsic-kind-contractive", IDENTITY_TOL, contractive),
     ])
 
@@ -298,12 +286,12 @@ def moebius_checks() -> List[CheckResult]:
     kappas = [0.0] + [cmath.rect(r, math.pi * k / 3) for r in (0.5, 0.95) for k in range(6)]
     alphas = np.linspace(0.0, math.pi, 16, endpoint=False)
     return run_checks([
-        ("cayley-contracts-halfplane", 1e-12,
-         lambda: float(np.max(np.abs(ws()), initial=1.0)) - 1.0),
+        ("cayley-contracts-halfplane", 1e-12, lambda: worst_of([np.abs(ws()) - 1.0])),
         ("cayley-round-trip", 1e-12, lambda: cayley_round_trip_defect(zs)),
         ("disk-automorphism-involution", 1e-12, lambda: disk_involution_defect(kappas, ws())),
         ("rotation-fixes-i", 1e-15,
-         lambda: max(abs(MoebiusMap.halfplane_rotation(a).values(1j) - 1j) for a in alphas)),
+         lambda: worst_of(abs(MoebiusMap.halfplane_rotation(a).values(1j) - 1j)
+                          for a in alphas)),
     ])
 
 
@@ -312,20 +300,17 @@ def measure_checks() -> List[CheckResult]:
     m_origin, m_pair = reference_measures()
 
     def range_and_contraction():
-        worst = 0.0
-        for mu in (m_origin, m_pair):
-            M = realize_herglotz(mu)
-            worst = max(worst, -min_imag(M, grid), max_modulus(livsic_from_weyl(M), grid) - 1.0)
-        return worst
+        return worst_of(d for M in map(realize_herglotz, (m_origin, m_pair)) for d in (
+            -min_imag(M, grid), max_modulus(livsic_from_weyl(M), grid) - 1.0))
 
     def round_trip():
         weight, location = measure_round_trip_defects([m_pair])
-        return max(location, weight / INVERSION_REL_TOL)
+        return worst_of((location, weight / INVERSION_REL_TOL))
 
     return run_checks([
         ("normalization-equals-value-at-i", 1e-13,
-         lambda: max(abs(normalization_defect(mu) - abs(realize_herglotz(mu)(1j) - 1j))
-                     for mu in (m_origin, m_pair, atom_measure((1.0, 2.0))))),
+         lambda: worst_of(abs(normalization_defect(mu) - abs(realize_herglotz(mu)(1j) - 1j))
+                          for mu in (m_origin, m_pair, atom_measure((1.0, 2.0))))),
         ("herglotz-range-and-cayley-contraction", 1e-12, range_and_contraction),
         ("two-atom-round-trip(scaled)", 1.0, round_trip),
     ])
@@ -339,12 +324,12 @@ def extension_checks() -> List[CheckResult]:
     def involution():
         # the map without conj(kappa) is an involution too and sends 0 to
         # kappa; only the contraction |S| <= 1 tells it from the automorphism
-        worst = 0.0
-        for kappa in (0.25, 0.5 + 0.3j, 0.9, -0.6j):
+        def defects(kappa):
             Sk = characteristic_from_livsic(s(), kappa)
-            worst = max(worst, sup_deviation(characteristic_from_livsic(Sk, kappa), s(), grid),
-                        abs(extract_kappa(Sk) - kappa), max_modulus(Sk, grid) - 1.0)
-        return worst
+            return (sup_deviation(characteristic_from_livsic(Sk, kappa), s(), grid),
+                    abs(extract_kappa(Sk) - kappa), max_modulus(Sk, grid) - 1.0)
+
+        return worst_of(d for kappa in (0.25, 0.5 + 0.3j, 0.9, -0.6j) for d in defects(kappa))
 
     def rotated(theta):
         return AnalyticFn(lambda zs: theta * S().evaluator(zs), FnKind.CHARACTERISTIC)
@@ -369,8 +354,8 @@ def extension_checks() -> List[CheckResult]:
          lambda: reference_rotation_defect(s(), realize_herglotz(reference_measures()[1]),
                                          (0.0, math.pi / 4, math.pi / 2, 2.5), grid.points)),
         ("unimodular-closure", 1e-12,
-         lambda: max(abs(extract_kappa(rotated(theta)) - theta * extract_kappa(S()))
-                     for theta in (1.0, 1j, complex(math.cos(2.1), math.sin(2.1))))),
+         lambda: worst_of(abs(extract_kappa(rotated(theta)) - theta * extract_kappa(S()))
+                          for theta in (1.0, 1j, complex(math.cos(2.1), math.sin(2.1))))),
         ("class-membership-verdicts", 0.5, verdicts),
     ])
 
@@ -380,30 +365,28 @@ def coupling_checks() -> List[CheckResult]:
     s1 = functools.cache(lambda: model_mod.model_closed_forms(0.5).livsic)
     s2 = functools.cache(lambda: model_mod.model_closed_forms(1.0).livsic)
     pairs = ((0.3, 0.7), (0.5, 0.5), (0.25, 0.0))
+    ks = np.arange(0.0, 0.95, 0.1)
     # one sweep feeds two checks; an error inside it fails both
     chain = functools.cache(lambda: multiplication_chain_defects(s1(), s2(), pairs, grid))
 
-    def angle_consistency():
-        worst = 0.0
-        for k1 in np.arange(0.0, 0.95, 0.1):
-            for k2 in np.arange(0.0, 0.95, 0.1):
-                ang = coupling_angles(k1, k2)
-                worst = max(worst, abs(math.sin(ang.beta) - k1 * math.sin(ang.alpha)),
-                            abs(math.cos(ang.beta) - math.cos(ang.alpha) / k2) if k2 > 0.0
-                            else abs(math.cos(ang.alpha)))
-                worst = max(worst, abs(math.sin(ang.beta) ** 2 + math.cos(ang.beta) ** 2 - 1.0))
-        return worst
+    def angle_defects(k1, k2):
+        ang = coupling_angles(k1, k2)
+        return (abs(math.sin(ang.beta) - k1 * math.sin(ang.alpha)),
+                abs(math.cos(ang.beta) - math.cos(ang.alpha) / k2) if k2 > 0.0
+                else abs(math.cos(ang.alpha)),
+                abs(math.sin(ang.beta) ** 2 + math.cos(ang.beta) ** 2 - 1.0))
 
     def collapse(angle, s):
         return sup_deviation(couple_livsic(s1(), s2(), CouplingAngles(angle, angle)), s, grid)
 
     return run_checks([
-        ("angle-consistency", 1e-14, angle_consistency),
+        ("angle-consistency", 1e-14,
+         lambda: worst_of(d for k1 in ks for k2 in ks for d in angle_defects(k1, k2))),
         ("degenerate-angle-collapse", 1e-14,
-         lambda: max(collapse(0.0, s1()), collapse(math.pi / 2, s2()))),
+         lambda: worst_of((collapse(0.0, s1()), collapse(math.pi / 2, s2())))),
         ("multiplication-chain", 1e-10,
-         lambda: max(chain()[0],
-                     general_k_defect(s1(), s2(), [p + (0.37,) for p in pairs], grid))),
+         lambda: worst_of((chain()[0],
+                           general_k_defect(s1(), s2(), [p + (0.37,) for p in pairs], grid)))),
         ("kappa-multiplicativity", 1e-12, lambda: chain()[1]),
         ("addition-normalization", 1e-14,
          lambda: convexity_defects(*map(realize_herglotz, reference_measures()),
@@ -411,7 +394,7 @@ def coupling_checks() -> List[CheckResult]:
         ("class-preservation-at-i", 1e-14,
          lambda: abs(couple_livsic(s1(), s2(), coupling_angles(0.4, 0.6))(1j))),
         ("class-properties(i-iv)", IDENTITY_TOL,
-         lambda: max(worst for _, worst in verify_class_properties(bundled_corpus(), grid))),
+         lambda: worst_of(worst for _, worst in verify_class_properties(bundled_corpus(), grid))),
     ])
 
 

@@ -32,7 +32,7 @@ from livcalc import (
     require_upper,
     sup_deviation,
 )
-from livcalc.core import complex_from_json, complex_to_json, grid_from_json
+from livcalc.core import complex_from_json, complex_to_json, grid_from_json, worst_of
 from livcalc.extension import cayley_probe
 
 GRID = default_grid()
@@ -231,6 +231,24 @@ class TestSupDeviationProperties:
         lhs = sup_deviation(f, h, GRID)
         rhs = sup_deviation(f, g, GRID) + sup_deviation(g, h, GRID)
         assert lhs <= rhs + 1e-15
+
+
+class TestWorstOf:
+    def test_any_nan_gives_nan(self):
+        nan = math.nan
+        for deviations in ([nan, 1.0, 2.0], [1.0, nan, 2.0], [1.0, 2.0, nan],
+                           [1.0, np.array([0.5, nan]), 2.0]):
+            assert math.isnan(worst_of(deviations)), deviations
+
+    def test_negative_values_clip_to_zero(self):
+        assert worst_of([-1.0, np.array([-0.5, -2.0])]) == 0.0
+
+    def test_empty_input_raises(self):
+        with pytest.raises(ValueError):
+            worst_of(iter([]))
+
+    def test_mix_of_floats_and_arrays_gives_the_largest_entry(self):
+        assert worst_of([0.5, np.array([0.25, 3.0]), np.float64(1.0), np.array(2.0)]) == 3.0
 
 
 class TestComplexJson:
