@@ -41,10 +41,10 @@ def herglotz_eval(locs, weights, dens_x, dens_w, zs) -> np.ndarray:
 
 
 def gauss_exp(b, nodes, weights) -> np.ndarray:
-    """Sums of weights[:, r] * exp(b[k] * nodes) over the nodes, as a
-    (len(b), weights.shape[1]) matrix, or a row of weights.shape[1] sums for
-    a scalar ``b``: one ``exp`` of the outer product of b and the nodes, and
-    one matrix product.
+    """Sums of weights[:, r] * exp(b * nodes) over the nodes, with ``b``
+    broadcast against ``nodes``: a row of weights.shape[1] sums for a scalar
+    ``b``, a (len(b), weights.shape[1]) matrix for a column b[:, None].  One
+    ``exp`` and one matrix product; complex nodes and weights cast nothing.
 
     With ``nodes`` on an interval such as [-1, 0] and one quadrature rule
     per column of ``weights`` (zero off that rule's nodes), entry (k, r) is
@@ -52,7 +52,7 @@ def gauss_exp(b, nodes, weights) -> np.ndarray:
     column may fold a real factor f(t) into its weights; it then estimates
     the integral of f(t) exp(b[k] t).
     """
-    return np.exp(np.multiply.outer(b, nodes)) @ weights
+    return np.dot(np.exp(b * nodes), weights)
 
 
 def simpson_weights(n_samples: int, h: float) -> np.ndarray:

@@ -75,16 +75,16 @@ class AnalyticFn:
         OVERFLOW_GUARD.
         """
         zs, values, bad = _guarded_values(self, z)
-        if bad.any():
-            raise PoleEncountered(_pole_message(self, zs[np.argmax(bad)]))
+        if len(bad):
+            raise PoleEncountered(_pole_message(self, zs[bad[0]]))
         if np.ndim(z) == 0:
             return complex(values[0])
         return values.reshape(np.shape(z))
 
 
 def _guarded_values(f: AnalyticFn, z):
-    """(points, values, pole mask) of ``f`` over the points of ``z``,
-    flattened."""
+    """(points, values, indices of the poles) of ``f`` over the points of
+    ``z``, flattened."""
     zs = np.asarray(z, dtype=np.complex128).reshape(-1)
     outside = ~(zs.imag > 0.0) | ~np.isfinite(zs)
     if outside.any():
@@ -92,8 +92,11 @@ def _guarded_values(f: AnalyticFn, z):
         raise ValueError(f"point {point!r} is not in the open upper half-plane")
     with np.errstate(all="ignore"):
         values = np.asarray(f.evaluator(zs), dtype=np.complex128)
-        bad = ~np.isfinite(values) | (np.abs(values) > OVERFLOW_GUARD)
-    return zs, values, bad
+        modulus = np.abs(values)
+    # NaN compares false, so one test catches NaN, infinities and overflow
+    if modulus.max(initial=0.0) <= OVERFLOW_GUARD:
+        return zs, values, ()
+    return zs, values, np.flatnonzero(~(modulus <= OVERFLOW_GUARD))
 
 
 def _pole_message(f: AnalyticFn, z) -> str:
@@ -169,10 +172,10 @@ def evaluate_on_grid(f: AnalyticFn, grid: EvaluationGrid) -> list:
     :class:`PoleEncountered` instance instead of a complex value.
     """
     zs, values, bad = _guarded_values(f, grid.points)
-    return [
-        PoleEncountered(_pole_message(f, z)) if pole else complex(value)
-        for z, value, pole in zip(zs, values, bad)
-    ]
+    out = values.tolist()
+    for k in bad:
+        out[k] = PoleEncountered(_pole_message(f, zs[k]))
+    return out
 
 
 def evaluate_many(f: AnalyticFn, zs: np.ndarray) -> np.ndarray:

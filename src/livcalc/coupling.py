@@ -19,8 +19,6 @@ from .core import (
     EvaluationGrid,
     FnKind,
     divide_off_pole,
-    max_modulus,
-    min_imag,
     sup_deviation,
     worst_of,
 )
@@ -201,9 +199,10 @@ def convexity_defects(
     """The addition law over the angles, for M = cos^2(alpha) M1 +
     sin^2(alpha) M2: the worst |M(i) - i| and the signed worst -min Im M over
     the grid, negative when M maps the grid strictly into the half-plane."""
-    sums = [add_weyl(M1, M2, alpha) for alpha in alphas]
-    return (worst_of(abs(M(1j) - 1j) for M in sums),
-            float(np.max([-min_imag(M, grid) for M in sums])))
+    zs = np.append(grid.points, 1j)  # one sweep of each M gives M(i) too
+    sums = [add_weyl(M1, M2, alpha)(zs) for alpha in alphas]
+    return (worst_of(abs(v[-1] - 1j) for v in sums),
+            float(np.max([-np.min(v[:-1].imag) for v in sums])))
 
 
 _CONVEXITY_ANGLES = (0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
@@ -246,9 +245,11 @@ def verify_class_properties(
         [f for f in samples if f.kind is kind]
         for kind in (FnKind.HERGLOTZ, FnKind.CHARACTERISTIC, FnKind.LIVSIC)
     )
-    tagged = [TaggedCharacteristic(S, extract_kappa(S)) for S in charac]
-    products = [(multiply_characteristic(*pair), pair) for pair in _pairs(tagged)]
     zs = grid.points
+    # each sample swept once: a product's values are its factors' products
+    tagged = [(TaggedCharacteristic(S, extract_kappa(S)), S(zs)) for S in charac]
+    products = [(multiply_characteristic(t1, t2), (t1, t2), v1 * v2)
+                for (t1, v1), (t2, v2) in _pairs(tagged)]
     # the value at i and the values on the grid of each Livsic sample
     livsic_values = [(s(1j), s(zs)) for s in livsic]
     return [
@@ -256,9 +257,9 @@ def verify_class_properties(
                (d for M1, M2 in _pairs(herglotz)
                 for d in convexity_defects(M1, M2, _CONVEXITY_ANGLES, grid))),
         _worst("characteristic-multiplication",
-               (d for p, _ in products for d in (p.tag_defect, max_modulus(p.fn, grid) - 1.0))),
+               (d for p, _, v in products for d in (p.tag_defect, np.abs(v) - 1.0))),
         _worst("vanishing-ideal",
-               (abs(p.kappa) + p.tag_defect for p, (t1, t2) in products
+               (abs(p.kappa) + p.tag_defect for p, (t1, t2), _ in products
                 if min(abs(t1.kappa), abs(t2.kappa)) < IDENTITY_TOL)),
         _worst("livsic-multiplication",
                (d for (a1, v1), (a2, v2) in _pairs(livsic_values)

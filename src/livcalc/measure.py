@@ -43,12 +43,12 @@ class SampledDensity:
     def __post_init__(self):
         if not self.x_hi > self.x_lo:
             raise ValueError("density window must have x_hi > x_lo")
-        vals = tuple(float(v) for v in self.values)
-        if len(vals) < 3 or len(vals) % 2 == 0:
+        vals = np.asarray(self.values, dtype=np.float64)
+        if vals.ndim != 1 or vals.size < 3 or vals.size % 2 == 0:
             raise ValueError("density needs an odd sample count >= 3")
-        if any(not math.isfinite(v) or v < 0.0 for v in vals):
+        if not np.all(np.isfinite(vals) & (vals >= 0.0)):
             raise ValueError("density samples must be finite and nonnegative")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", tuple(vals.tolist()))
 
     @property
     def h(self) -> float:
@@ -294,12 +294,8 @@ def stieltjes_invert(
 
     e_min = eps[-1]
     atoms = []
-    candidates = [
-        i
-        for i in range(1, n_scan - 1)
-        if finest[i] > finest[i - 1] and finest[i] >= finest[i + 1]
-    ]
-    for i in candidates:
+    inner = finest[1:-1]
+    for i in np.flatnonzero((inner > finest[:-2]) & (inner >= finest[2:])) + 1:
         bracket = (scan[i] - spacing, scan[i] + spacing)
         refined = minimize_scalar(
             lambda x: -evaluate_many(M, np.array([x + 1j * e_min]))[0].imag,

@@ -92,20 +92,20 @@ def composite_rule(panels: int):
 @functools.lru_cache(maxsize=8)
 def _panel_rule(ell: float, m: int):
     """Nodes t - 1 on [-1, 0] of the m- and 2m-panel composite rules in t,
-    and their complex weights as a (3 * 16 * m, 4) matrix with the real
-    factor of each integrand folded in: columns 0 and 1 hold the m- and
-    2m-panel weights times ell e^{-ell t}, columns 2 and 3 the same times
+    and their weights as a (3 * 16 * m, 4) matrix with the real factor of
+    each integrand folded in: columns 0 and 1 hold the m- and 2m-panel
+    weights times ell e^{-ell t}, columns 2 and 3 the same times
     ell e^{ell (t - 1)}.  Each rule's columns are zero on the other rule's
-    nodes.  The weights are stored complex so that gauss_exp's product
-    casts nothing per call."""
+    nodes.  Nodes and weights are both stored complex, with zero imaginary
+    parts, so that gauss_exp casts nothing per call."""
     coarse, fine = composite_rule(m), composite_rule(2 * m)
-    nodes = np.concatenate([coarse[0], fine[0]]) - 1.0
+    nodes = (np.concatenate([coarse[0], fine[0]]) - 1.0).astype(np.complex128)
     weights = np.zeros((nodes.size, 4), dtype=np.complex128)
     weights[: coarse[0].size, 0] = coarse[1]
     weights[coarse[0].size :, 1] = fine[1]
     weights[:, 2:] = weights[:, :2]
-    weights[:, :2] *= (ell * np.exp(-ell * (nodes + 1.0)))[:, None]
-    weights[:, 2:] *= (ell * np.exp(ell * nodes))[:, None]
+    weights[:, :2] *= (ell * np.exp(-ell * (nodes.real + 1.0)))[:, None]
+    weights[:, 2:] *= (ell * np.exp(ell * nodes.real))[:, None]
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 

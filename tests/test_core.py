@@ -32,7 +32,9 @@ from livcalc import (
     require_upper,
     sup_deviation,
 )
-from livcalc.core import complex_from_json, complex_to_json, grid_from_json, worst_of
+from livcalc.core import (
+    OVERFLOW_GUARD, complex_from_json, complex_to_json, grid_from_json, worst_of,
+)
 from livcalc.extension import cayley_probe
 
 GRID = default_grid()
@@ -178,6 +180,38 @@ class TestEvaluateOnGrid:
         f = AnalyticFn(lambda z: 1e13, FnKind.GENERIC)
         with pytest.raises(PoleEncountered):
             f(1j)
+
+
+class TestPoleGuard:
+    @pytest.mark.parametrize("value, pole", [
+        (complex(math.nan, 0.0), True),
+        (complex(0.0, math.nan), True),
+        (complex(math.inf, 0.0), True),
+        (complex(-math.inf, 0.0), True),
+        (complex(0.0, math.inf), True),
+        (complex(0.0, -math.inf), True),
+        (OVERFLOW_GUARD, False),
+        (-1j * OVERFLOW_GUARD, False),
+        (1.000001 * OVERFLOW_GUARD, True),
+        (1.000001j * OVERFLOW_GUARD, True),
+    ])
+    def test_value_table(self, value, pole):
+        f = constant_fn(value)
+        for z in (1j, np.array([1j, 2j])):
+            if pole:
+                with pytest.raises(PoleEncountered):
+                    f(z)
+            else:
+                assert np.all(f(z) == value)
+
+    def test_empty_array_gives_empty_array(self):
+        values = exp_fn(1j)(np.empty(0, dtype=np.complex128))
+        assert values.shape == (0,)
+
+    def test_message_names_first_bad_point(self):
+        f = AnalyticFn(lambda zs: np.where(zs.imag > 1.5, math.nan, 0.0), label="probe")
+        with pytest.raises(PoleEncountered, match=r"^probe: pole at 2j$"):
+            f(np.array([1j, 2j, 3j]))
 
 
 class TestEvaluateMany:

@@ -27,6 +27,7 @@ from livcalc import (
 from livcalc import measure
 from livcalc.core import INVERSION_REL_TOL
 from livcalc.measure import BoundedMinimum, minimize_scalar
+from livcalc.verify import reference_measures
 
 GRID = default_grid()
 
@@ -189,6 +190,17 @@ class TestStieltjesInversion:
         assert abs(atom.location) < result.scan_spacing
         assert abs(atom.weight - 1.0) < 0.02
         assert atom.residual < 1e-6
+
+    def test_pair_leaves_no_density_and_small_residuals(self):
+        # the atoms' Poisson kernels are subtracted before the density is
+        # extrapolated: what is left is below 1e-7 everywhere (2.45e-9)
+        mu = reference_measures()[1]
+        result = stieltjes_invert(realize_herglotz(mu), (-2.0, 2.0), (1e-2, 1e-3, 1e-4))
+        assert len(result.atoms) == 2
+        assert max(result.density.values) < 1e-7
+        # the extrapolation moves each weight by 2.5e-9 from its finest value
+        for atom in result.atoms:
+            assert 1e-12 <= atom.residual <= 1e-7
 
     @pytest.mark.parametrize("schedule", [ATOM_SCHEDULE, (1e-6, 1e-7, 1e-8),
                                           (1e-7, 1e-8, 1e-9)], ids=lambda s: f"eps{s[-1]:g}")

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from livcalc import MoebiusMap, _kernels, cli, coupling, extension, oracle, verify
+from livcalc import MoebiusMap, _kernels, cli, coupling, extension, measure, oracle, verify
 from livcalc import model as model_mod
 from livcalc.core import AnalyticFn, FnKind, divide_off_pole
 from livcalc.coupling import CouplingAngles, TaggedCharacteristic
@@ -20,6 +20,7 @@ angles, trig = coupling.coupling_angles, CouplingAngles.trig
 moebius_values, panel_rule = MoebiusMap.values, oracle._panel_rule
 herglotz_eval, rotate = _kernels.herglotz_eval, verify.reference_change_livsic
 multiply, corpus = coupling.multiply_characteristic, verify.bundled_corpus
+minimize = measure.minimize_scalar
 
 INF, NAN = (math.inf, math.inf), (math.nan, math.nan)
 
@@ -122,6 +123,11 @@ ROWS = [
      fails((0.3, 0.5), "coupling/addition-normalization", "coupling/class-properties(i-iv)")),
     ("herglotz-shift-sign", [(_kernels, "herglotz_eval", flipped_shift)],
      fails((1.0, 3.0), "measure/normalization-equals-value-at-i")),
+    # a peak left at its bracket's lower end, one scan spacing off: the mass
+    # eps * Im M there decays with eps, so the atom is lost
+    ("refinement-at-bracket-edge", [(measure, "minimize_scalar", lambda func, bounds, xatol:
+        dataclasses.replace(minimize(func, bounds, xatol), x=bounds[0]))],
+     fails(INF, "measure/two-atom-round-trip(scaled)")),
 ]
 
 

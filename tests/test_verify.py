@@ -97,9 +97,13 @@ def test_benchmark_tracer_sees_every_suite(capsys):
     # two-factor Blaschke probe of the class verdicts 2; the two peak
     # refinements 6 each; the general-k identity 2 per triple, one per side;
     # the interval split 2 per split, s_ell and the coupling of its parts;
-    # the corpus's complex-parameter sample 12: 2 for its tag, and 2 for
-    # each of its 5 products, the tag at i and the contraction sweep)
-    assert tracer.counts["core.scalar_calls"] == 212
+    # the corpus's complex-parameter sample 3: 2 for its tag and 1 for its
+    # grid sweep, and 1 for each of its 5 products, the tag at i.  The class
+    # laws read a product's values off its factors' sweeps, 5 sample sweeps
+    # for the 15 product sweeps of law (ii), and each convex sum of law (i)
+    # and of the addition normalization is one sweep over the grid with i
+    # appended, with no point call at i: 183 = 212 - 15 + 5 - 15 - 4)
+    assert tracer.counts["core.scalar_calls"] == 183
     # the inversion check's peak refinements: a tracer that loses the
     # binding of measure.minimize_scalar, or its nfev, reads 0 here
     assert tracer.counts["measure.refine.calls"] == 2
