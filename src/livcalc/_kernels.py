@@ -36,7 +36,7 @@ def herglotz_eval(locs, weights, dens_x, dens_w, zs) -> np.ndarray:
     rows = max(1, _CHUNK // max(1, x.shape[0]))
     for k in range(0, zs.shape[0], rows):
         z = zs[k : k + rows, None]
-        out[k : k + rows] = np.sum(w * (1.0 / (x - z) - shift), axis=1)
+        out[k : k + rows] = np.einsum("kn,n->k", 1.0 / (x - z) - shift, w)
     return out
 
 

@@ -10,6 +10,7 @@ yields byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -131,6 +132,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
+@functools.cache  # argparse keeps no state between parse_args calls
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="livcalc",
@@ -374,9 +376,8 @@ _DISPATCH = {
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

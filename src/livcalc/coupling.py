@@ -23,7 +23,7 @@ from .core import (
     worst_of,
 )
 from .errors import OutOfRange
-from .extension import ensure_kappa, extract_kappa
+from .extension import ensure_kappa
 from .moebius import MoebiusMap
 
 _HALF_PI = math.pi / 2
@@ -132,23 +132,29 @@ def general_k_identity_defect(
     return sup_deviation(lhs, AnalyticFn(rhs, FnKind.GENERIC, f"general-k right[k={k}]"), grid)
 
 
-def add_weyl(M1: AnalyticFn, M2: AnalyticFn, alpha: float) -> AnalyticFn:
-    """Convex combination cos^2(alpha) M1 + sin^2(alpha) M2.
+def convex_sum(alpha: float, v1, v2):
+    """cos^2(alpha) v1 + sin^2(alpha) v2 for a finite angle: the addition law on values."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    return math.cos(alpha) ** 2 * v1 + math.sin(alpha) ** 2 * v2
 
-    Preserves the half-plane range and the normalization M(i) = i when both
-    inputs are normalized."""
+
+def _require_herglotz(M1: AnalyticFn, M2: AnalyticFn) -> None:
     for name, m in (("M1", M1), ("M2", M2)):
         if m.kind is not FnKind.HERGLOTZ:
             raise ValueError(f"add_weyl expects Herglotz-kind inputs, {name} is {m.kind}")
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
-    p = math.cos(alpha) ** 2
-    q = math.sin(alpha) ** 2
+
+
+def add_weyl(M1: AnalyticFn, M2: AnalyticFn, alpha: float) -> AnalyticFn:
+    """Convex combination cos^2(alpha) M1 + sin^2(alpha) M2 (:func:`convex_sum`).
+
+    Preserves the half-plane range and the normalization M(i) = i when both
+    inputs are normalized."""
+    _require_herglotz(M1, M2)
     return AnalyticFn(
-        evaluator=lambda zs: p * M1.evaluator(zs) + q * M2.evaluator(zs),
+        evaluator=lambda zs: convex_sum(alpha, M1.evaluator(zs), M2.evaluator(zs)),
         kind=FnKind.HERGLOTZ,
-        label=f"add[{M1.label} , {M2.label}; alpha={alpha}]",
+        label=f"add[{M1.label} , {M2.label}; alpha={float(alpha)}]",
     )
 
 
@@ -199,8 +205,10 @@ def convexity_defects(
     """The addition law over the angles, for M = cos^2(alpha) M1 +
     sin^2(alpha) M2: the worst |M(i) - i| and the signed worst -min Im M over
     the grid, negative when M maps the grid strictly into the half-plane."""
-    zs = np.append(grid.points, 1j)  # one sweep of each M gives M(i) too
-    sums = [add_weyl(M1, M2, alpha)(zs) for alpha in alphas]
+    _require_herglotz(M1, M2)
+    zs = np.append(grid.points, 1j)  # one sweep of each leaf gives M(i) too
+    v1, v2 = M1(zs), M2(zs)
+    sums = [convex_sum(alpha, v1, v2) for alpha in alphas]
     return (worst_of(abs(v[-1] - 1j) for v in sums),
             float(np.max([-np.min(v[:-1].imag) for v in sums])))
 
@@ -245,13 +253,14 @@ def verify_class_properties(
         [f for f in samples if f.kind is kind]
         for kind in (FnKind.HERGLOTZ, FnKind.CHARACTERISTIC, FnKind.LIVSIC)
     )
-    zs = grid.points
-    # each sample swept once: a product's values are its factors' products
-    tagged = [(TaggedCharacteristic(S, extract_kappa(S)), S(zs)) for S in charac]
+    # each sample swept once over the grid with i appended: its last value is
+    # its value at i, and a product's values are its factors' products
+    zs = np.append(grid.points, 1j)
+    sweeps = [S(zs) for S in charac]
+    tagged = [(TaggedCharacteristic(S, v[-1]), v[:-1]) for S, v in zip(charac, sweeps)]
     products = [(multiply_characteristic(t1, t2), (t1, t2), v1 * v2)
                 for (t1, v1), (t2, v2) in _pairs(tagged)]
-    # the value at i and the values on the grid of each Livsic sample
-    livsic_values = [(s(1j), s(zs)) for s in livsic]
+    livsic_values = [(v[-1], v[:-1]) for v in (s(zs) for s in livsic)]
     return [
         _worst("herglotz-convexity",
                (d for M1, M2 in _pairs(herglotz)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import livcalc
-from livcalc.cli import main, parse_atoms, parse_complex
+from livcalc.cli import build_parser, main, parse_atoms, parse_complex
 
 
 def run_cli(capsys, *argv):
@@ -47,6 +47,22 @@ class TestParsing:
     def test_atoms(self):
         assert parse_atoms("0:1") == ((0.0, 1.0),)
         assert parse_atoms("1:1,-1:1") == ((1.0, 1.0), (-1.0, 1.0))
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_shared_parser_leaks_no_defaults(self, capsys):
+        # a call after one with --check formula1 reads the default nunu again
+        argv = ("couple", "--kappa1", "0.5", "--kappa2", "0.5")
+        alone = run_cold("-m", "livcalc.cli", *argv)
+        assert run_cli(capsys, *argv, "--check", "formula1")[0] == 0
+        assert run_cli(capsys, *argv) == (alone.returncode, alone.stdout, alone.stderr)
+        assert json.loads(alone.stdout)["check"] == "nunu"
+
+    def test_shared_parser_survives_a_usage_error(self, capsys):
+        assert run_cli(capsys, "model")[0] == 2
+        code, out, _ = run_cli(capsys, "model", "--length", "1", "--eval", "0+2i")
+        assert code == 0 and json.loads(out)["ell"] == "1"
 
 
 class TestModelVerb:

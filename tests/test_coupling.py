@@ -31,7 +31,8 @@ from livcalc import (
     verify_class_properties,
 )
 from livcalc.core import IDENTITY_TOL
-from livcalc.verify import bundled_corpus
+from livcalc.coupling import _CONVEXITY_ANGLES, convex_sum, convexity_defects
+from livcalc.verify import bundled_corpus, reference_measures
 
 GRID = default_grid()
 S_HALF = model_closed_forms(0.5).livsic
@@ -219,6 +220,26 @@ class TestAddWeyl:
     def test_rejects_wrong_kind(self):
         with pytest.raises(ValueError):
             add_weyl(S_ONE, M_PAIR, 0.5)
+
+    @pytest.mark.parametrize("M1, M2, alpha, match", [
+        (S_ONE, M_PAIR, 0.5, "Herglotz-kind"), (M_PAIR, S_ONE, 0.5, "Herglotz-kind"),
+        (M_ORIGIN, M_PAIR, math.inf, "alpha must be finite"),
+        (M_ORIGIN, M_PAIR, math.nan, "alpha must be finite"),
+    ])
+    def test_swept_law_rejects_what_add_weyl_rejects(self, M1, M2, alpha, match):
+        with pytest.raises(ValueError, match=match):
+            convexity_defects(M1, M2, (alpha,), GRID)
+
+    def test_lazy_sum_is_the_swept_sum(self):
+        # add_weyl and convexity_defects apply the one convex_sum formula, so
+        # the lazy sum and the sum of the two leaf sweeps agree bit for bit
+        M1, M2 = (realize_herglotz(mu) for mu in reference_measures())
+        zs = np.append(GRID.points, 1j)
+        for alpha in _CONVEXITY_ANGLES:
+            v = add_weyl(M1, M2, alpha)(zs)
+            assert np.array_equal(v, convex_sum(alpha, M1(zs), M2(zs))), alpha
+            assert convexity_defects(M1, M2, (alpha,), GRID) == (
+                abs(v[-1] - 1j), -np.min(v[:-1].imag)), alpha
 
 
 class TestTaggedCharacteristic:

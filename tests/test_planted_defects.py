@@ -11,7 +11,7 @@ import pytest
 
 from livcalc import MoebiusMap, _kernels, cli, coupling, extension, measure, oracle, verify
 from livcalc import model as model_mod
-from livcalc.core import AnalyticFn, FnKind, divide_off_pole
+from livcalc.core import FnKind, divide_off_pole
 from livcalc.coupling import CouplingAngles, TaggedCharacteristic
 
 # the unpatched functions, taken before any row patches them
@@ -43,6 +43,12 @@ def nan_at_first_point(self, w):
     return values
 
 
+def g_plus_without_decay(ell):
+    # e^x for e^{x - ell}: g_+ grows by e^ell and loses its unit norm
+    c = normalizer(ell)
+    return model_mod.DeficiencyElement(ell, lambda x: c * math.exp(x), f"g_plus[ell={ell}]")
+
+
 def flipped_shift(locs, weights, dens_x, dens_w, zs):
     # sum_j w_j [1/(l_j - z) + l_j/(1 + l_j^2)]: M(i) = i no longer follows
     x, w = np.append(locs, dens_x), np.append(weights, dens_w)
@@ -67,6 +73,9 @@ ROWS = [
            "coupling/multiplication-chain", "coupling/kappa-multiplicativity",
            "coupling/class-preservation-at-i", "coupling/class-properties(i-iv)",
            "model/oracle-vs-closed-form", "model/interval-split")),
+    # the norm and the boundary values of g_+ both grow by e^ell
+    ("g-plus-without-decay", [(model_mod, "g_plus", g_plus_without_decay)],
+     fails((1.0, 1e3), "model/defect-element-norms", "model/boundary-relations")),
     # g_+ and g_- share the normalizer, so the boundary relations still hold
     ("wrong-normalizer", [(model_mod, "_normalizer", lambda ell: 1.001 * normalizer(ell))],
      fails((1e-10, 1.0), "model/defect-element-norms")),
@@ -117,9 +126,8 @@ ROWS = [
     ("cc-ss-swapped", [(CouplingAngles, "trig", lambda self: trig(self)[::-1])],
      fails((1.0, 2.0), "coupling/degenerate-angle-collapse",
            "coupling/multiplication-chain", "model/interval-split")),
-    ("add-weyl-without-squares", [(coupling, "add_weyl", lambda M1, M2, alpha: AnalyticFn(
-        lambda zs: math.cos(alpha) * M1.evaluator(zs) + math.sin(alpha) * M2.evaluator(zs),
-        FnKind.HERGLOTZ))],
+    ("add-weyl-without-squares", [(coupling, "convex_sum", lambda alpha, v1, v2:
+        math.cos(alpha) * v1 + math.sin(alpha) * v2)],
      fails((0.3, 0.5), "coupling/addition-normalization", "coupling/class-properties(i-iv)")),
     ("herglotz-shift-sign", [(_kernels, "herglotz_eval", flipped_shift)],
      fails((1.0, 3.0), "measure/normalization-equals-value-at-i")),

@@ -99,11 +99,15 @@ def test_benchmark_tracer_sees_every_suite(capsys):
     # the interval split 2 per split, s_ell and the coupling of its parts;
     # the corpus's complex-parameter sample 3: 2 for its tag and 1 for its
     # grid sweep, and 1 for each of its 5 products, the tag at i.  The class
-    # laws read a product's values off its factors' sweeps, 5 sample sweeps
-    # for the 15 product sweeps of law (ii), and each convex sum of law (i)
-    # and of the addition normalization is one sweep over the grid with i
-    # appended, with no point call at i: 183 = 212 - 15 + 5 - 15 - 4)
-    assert tracer.counts["core.scalar_calls"] == 183
+    # laws sweep each sample once over the grid with i appended and read its
+    # value at i off that sweep: -5 extract_kappa point calls and -3 Livsic
+    # point calls at i.  A product's values are its factors' products, 5
+    # sample sweeps for the 15 product sweeps of law (ii).  Law (i) and the
+    # addition normalization sweep each Herglotz leaf once and form every
+    # convex sum from the two sweeps: law (i) -15 sum sweeps and +6 leaf
+    # sweeps, the addition normalization -4 sum sweeps and +2 leaf sweeps:
+    # 164 = 183 - 5 - 3 - 15 + 6 - 4 + 2)
+    assert tracer.counts["core.scalar_calls"] == 164
     # the inversion check's peak refinements: a tracer that loses the
     # binding of measure.minimize_scalar, or its nfev, reads 0 here
     assert tracer.counts["measure.refine.calls"] == 2
