@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -47,8 +46,46 @@ def require_upper(z: complex) -> complex:
     return z
 
 
-@dataclass(frozen=True)
-class AnalyticFn:
+class Record:
+    """An immutable value whose fields are the names in its class's
+    ``__slots__``: repr, equality (between instances of one class) and hash
+    follow the fields in order, and no code is generated at import.
+    Subclasses set their fields in ``__init__`` through
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    # copy, deepcopy and pickle restore the fields through these
+    def __getstate__(self) -> tuple:
+        return self._astuple()
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+
+class AnalyticFn(Record):
     """An evaluatable analytic function on the open upper half-plane.
 
     ``evaluator`` maps a complex ndarray of half-plane points to the ndarray
@@ -62,9 +99,13 @@ class AnalyticFn:
     the claims are checked by probe sweeps, not at construction.
     """
 
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    kind: FnKind = FnKind.GENERIC
-    label: str = ""
+    __slots__ = ("evaluator", "kind", "label")
+
+    def __init__(self, evaluator: Callable[[np.ndarray], np.ndarray],
+                 kind: FnKind = FnKind.GENERIC, label: str = ""):
+        object.__setattr__(self, "evaluator", evaluator)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "label", label)
 
     def __call__(self, z):
         """The value at a point, as a ``complex``, or the values over an
@@ -114,16 +155,15 @@ def divide_off_pole(num, den, floor):
         return np.where(np.abs(den) < floor, np.nan, num / den)
 
 
-@dataclass(frozen=True, eq=False)
-class EvaluationGrid:
+class EvaluationGrid(Record):
     """An ordered, duplicate-free set of probe points in the upper half-plane,
-    held as one read-only complex ndarray."""
+    held as one read-only complex ndarray.  Grids compare by identity."""
 
-    points: np.ndarray
-    description: str = ""
+    __slots__ = ("points", "description")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        pts = np.array(self.points, dtype=np.complex128).reshape(-1)
+    def __init__(self, points: np.ndarray, description: str = ""):
+        pts = np.array(points, dtype=np.complex128).reshape(-1)
         if pts.size == 0:
             raise ValueError("grid must be nonempty")
         outside = ~(pts.imag > 0.0) | ~np.isfinite(pts)
@@ -134,6 +174,7 @@ class EvaluationGrid:
             raise ValueError("grid points must be pairwise distinct")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "description", description)
 
     def __len__(self) -> int:
         return self.points.size

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -18,6 +17,7 @@ from .core import (
     AnalyticFn,
     EvaluationGrid,
     FnKind,
+    Record,
     divide_off_pole,
     sup_deviation,
     worst_of,
@@ -29,8 +29,7 @@ from .moebius import MoebiusMap
 _HALF_PI = math.pi / 2
 
 
-@dataclass(frozen=True)
-class CouplingAngles:
+class CouplingAngles(Record):
     """The pair (alpha, beta) parametrizing a coupling.
 
     For inputs produced by :func:`coupling_angles` the defining relations
@@ -39,14 +38,15 @@ class CouplingAngles:
     (alpha = beta = pi/2) remains expressible.
     """
 
-    alpha: float
-    beta: float
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self):
-        if not (0.0 <= self.alpha <= _HALF_PI):
-            raise ValueError(f"alpha = {self.alpha} outside [0, pi/2]")
-        if not (0.0 <= self.beta <= _HALF_PI):
-            raise ValueError(f"beta = {self.beta} outside [0, pi/2]")
+    def __init__(self, alpha: float, beta: float):
+        if not (0.0 <= alpha <= _HALF_PI):
+            raise ValueError(f"alpha = {alpha} outside [0, pi/2]")
+        if not (0.0 <= beta <= _HALF_PI):
+            raise ValueError(f"beta = {beta} outside [0, pi/2]")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     def trig(self):
         """(cos a cos b, sin a sin b), the two coefficients of the coupling."""
@@ -158,26 +158,23 @@ def add_weyl(M1: AnalyticFn, M2: AnalyticFn, alpha: float) -> AnalyticFn:
     )
 
 
-@dataclass(frozen=True)
-class TaggedCharacteristic:
+class TaggedCharacteristic(Record):
     """A characteristic function together with its extension parameter.
 
     Construction measures the tag defect |fn(i) - kappa|, kept as
     ``tag_defect``, and rejects a tag whose defect reaches IDENTITY_TOL."""
 
-    fn: AnalyticFn
-    kappa: complex
-    tag_defect: float = field(init=False)
+    __slots__ = ("fn", "kappa", "tag_defect")
 
-    def __post_init__(self):
-        object.__setattr__(self, "kappa", ensure_kappa(self.kappa))
-        if self.fn.kind is not FnKind.CHARACTERISTIC:
+    def __init__(self, fn: AnalyticFn, kappa: complex):
+        kappa = ensure_kappa(kappa)
+        if fn.kind is not FnKind.CHARACTERISTIC:
             raise ValueError("tagged function must have Characteristic kind")
-        defect = abs(self.fn(1j) - self.kappa)
+        defect = abs(fn(1j) - kappa)
         if defect >= IDENTITY_TOL:
-            raise ValueError(
-                f"tag kappa = {self.kappa} disagrees with fn(i) by {defect:.3g}"
-            )
+            raise ValueError(f"tag kappa = {kappa} disagrees with fn(i) by {defect:.3g}")
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "tag_defect", defect)
 
 

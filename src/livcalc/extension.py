@@ -8,8 +8,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -87,8 +86,7 @@ class ClassVerdict(enum.Enum):
     FAILS_GROWTH = "FailsGrowth"
 
 
-@dataclass(frozen=True)
-class RayDiagnostic:
+class RayDiagnostic(NamedTuple):
     alpha: float
     theta: float
     radii: tuple
@@ -96,8 +94,7 @@ class RayDiagnostic:
     passed: bool
 
 
-@dataclass(frozen=True)
-class ClassMembershipReport:
+class ClassMembershipReport(NamedTuple):
     value_at_i: complex
     vanishes_at_i: bool
     ray_growth_passed: bool

@@ -17,37 +17,35 @@ TestModelWeylMeasure).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import _kernels
-from .core import AnalyticFn, FnKind, evaluate_many, json_list, json_number
+from .core import AnalyticFn, FnKind, Record, evaluate_many, json_list, json_number
 from .errors import EmptyMeasure, WindowTooSmall
 from .moebius import MoebiusMap
 
 
-@dataclass(frozen=True)
-class SampledDensity:
+class SampledDensity(Record):
     """Nonnegative density sampled on a uniform lattice over [x_lo, x_hi].
 
     The sample count must be odd so the stored lattice carries a composite
     Simpson rule directly.
     """
 
-    x_lo: float
-    x_hi: float
-    values: tuple
+    __slots__ = ("x_lo", "x_hi", "values")
 
-    def __post_init__(self):
-        if not self.x_hi > self.x_lo:
+    def __init__(self, x_lo: float, x_hi: float, values: tuple):
+        if not x_hi > x_lo:
             raise ValueError("density window must have x_hi > x_lo")
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.asarray(values, dtype=np.float64)
         if vals.ndim != 1 or vals.size < 3 or vals.size % 2 == 0:
             raise ValueError("density needs an odd sample count >= 3")
         if not np.all(np.isfinite(vals) & (vals >= 0.0)):
             raise ValueError("density samples must be finite and nonnegative")
+        object.__setattr__(self, "x_lo", x_lo)
+        object.__setattr__(self, "x_hi", x_hi)
         object.__setattr__(self, "values", tuple(vals.tolist()))
 
     @property
@@ -65,15 +63,13 @@ class SampledDensity:
         return float(np.sum(self.quadrature_weights()))
 
 
-@dataclass(frozen=True)
-class BorelMeasureModel:
+class BorelMeasureModel(Record):
     """Finite atoms plus an optional sampled absolutely-continuous part."""
 
-    atoms: tuple = ()
-    density: Optional[SampledDensity] = None
+    __slots__ = ("atoms", "density")
 
-    def __post_init__(self):
-        atoms = tuple((float(loc), float(w)) for loc, w in self.atoms)
+    def __init__(self, atoms: tuple = (), density: Optional[SampledDensity] = None):
+        atoms = tuple((float(loc), float(w)) for loc, w in atoms)
         locs = [a[0] for a in atoms]
         if len(set(locs)) != len(locs):
             raise ValueError("atom locations must be pairwise distinct")
@@ -82,6 +78,7 @@ class BorelMeasureModel:
         if any(not math.isfinite(loc) for loc, _ in atoms):
             raise ValueError("atom locations must be finite")
         object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "density", density)
         if not math.isfinite(self.normalization_integral()):
             raise ValueError("normalization integral must be finite")
 
@@ -97,12 +94,15 @@ class BorelMeasureModel:
         return self.density.lattice(), self.density.quadrature_weights()
 
     def normalization_integral(self) -> float:
-        """integral of dmu(lam) / (1 + lam^2)."""
+        """integral of dmu(lam) / (1 + lam^2).  Where lam^2 overflows, for
+        |lam| above about 1.3e154, the term is 0, the integrand's limit, and
+        no overflow warning is printed."""
         locs, ws = self.locations(), self.weights()
-        total = float(np.sum(ws / (1.0 + locs**2))) if len(self.atoms) else 0.0
-        if self.density is not None:
-            x = self.density.lattice()
-            total += float(np.sum(self.density.quadrature_weights() / (1.0 + x**2)))
+        with np.errstate(over="ignore"):
+            total = float(np.sum(ws / (1.0 + locs**2))) if len(self.atoms) else 0.0
+            if self.density is not None:
+                x = self.density.lattice()
+                total += float(np.sum(self.density.quadrature_weights() / (1.0 + x**2)))
         return total
 
     @classmethod
@@ -164,8 +164,7 @@ def livsic_from_weyl(M: AnalyticFn) -> AnalyticFn:
 # --- Stieltjes inversion ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundedMinimum:
+class BoundedMinimum(NamedTuple):
     x: float
     #: evaluations of ``func`` made
     nfev: int
@@ -213,16 +212,14 @@ def minimize_scalar(func, bounds, xatol: float) -> BoundedMinimum:
     return BoundedMinimum(float(x), nfev)
 
 
-@dataclass(frozen=True)
-class RecoveredAtom:
+class RecoveredAtom(NamedTuple):
     location: float
     weight: float
     #: |extrapolated weight - weight at the smallest epsilon|
     residual: float
 
 
-@dataclass(frozen=True)
-class InversionResult:
+class InversionResult(NamedTuple):
     """Estimated measure recovered from boundary values of Im M."""
 
     atoms: tuple

@@ -10,17 +10,15 @@ closed forms here."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .coupling import couple_livsic, coupling_angles
-from .core import AnalyticFn, EvaluationGrid, FnKind, sup_deviation
+from .core import AnalyticFn, EvaluationGrid, FnKind, Record, sup_deviation
 
 
-@dataclass(frozen=True)
-class ModelFunctions:
+class ModelFunctions(NamedTuple):
     livsic: AnalyticFn
     characteristic: AnalyticFn
     kappa: float
@@ -71,14 +69,16 @@ def model_closed_forms(ell: float) -> ModelFunctions:
     return ModelFunctions(livsic, characteristic, decay)
 
 
-@dataclass(frozen=True)
-class DeficiencyElement:
+class DeficiencyElement(Record):
     """An explicit defect element of the interval model, evaluatable on
     [0, ell]."""
 
-    length: float
-    evaluator: Callable[[float], complex]
-    label: str
+    __slots__ = ("length", "evaluator", "label")
+
+    def __init__(self, length: float, evaluator: Callable[[float], complex], label: str):
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "evaluator", evaluator)
+        object.__setattr__(self, "label", label)
 
     def __call__(self, x: float) -> complex:
         if not (0.0 <= x <= self.length):

@@ -14,31 +14,26 @@ calls it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AnalyticFn, FnKind, divide_off_pole
+from .core import AnalyticFn, FnKind, Record, divide_off_pole
 from .errors import DegenerateMap, PoleEncountered
 
 DET_THRESHOLD = 1e-14
 
 
-@dataclass(frozen=True)
-class MoebiusMap:
+class MoebiusMap(Record):
     """z -> (a z + b) / (c z + d) with ad - bc != 0.
 
     Coefficients are stored raw, so compositions do not drift.
     """
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+    def __init__(self, a: complex, b: complex, c: complex, d: complex):
+        for name, value in zip(self.__slots__, (a, b, c, d)):
+            object.__setattr__(self, name, complex(value))
         if abs(self.det) <= DET_THRESHOLD:
             raise DegenerateMap(f"determinant {self.det!r} below threshold")
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
@@ -29,7 +28,7 @@ import numpy as np
 from . import model as model_mod
 from . import oracle as oracle_mod
 from .core import (
-    IDENTITY_TOL, INVERSION_REL_TOL, QUADRATURE_TOL, AnalyticFn, EvaluationGrid, FnKind,
+    IDENTITY_TOL, INVERSION_REL_TOL, QUADRATURE_TOL, AnalyticFn, EvaluationGrid, FnKind, Record,
     constant_fn, default_grid, fmt_float, max_modulus, min_imag, sup_deviation, worst_of,
 )
 from .coupling import (
@@ -47,15 +46,13 @@ from .measure import (
 from .moebius import MoebiusMap
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    worst: float
-    tol: float
+class CheckResult(Record):
+    __slots__ = ("name", "worst", "tol")
 
-    def __post_init__(self):
-        object.__setattr__(self, "worst", float(self.worst))
-        object.__setattr__(self, "tol", float(self.tol))
+    def __init__(self, name: str, worst: float, tol: float):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "worst", float(worst))
+        object.__setattr__(self, "tol", float(tol))
 
     @property
     def passed(self) -> bool:

@@ -285,6 +285,14 @@ class TestMeasureVerb:
         assert done.stderr.startswith("error: window") and "Traceback" not in done.stderr
         assert len(done.stderr.splitlines()) == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flags, exit_code", [((), 0), (("--check-normalization",), 1)])
+    def test_far_atom_warns_nothing(self, capsys, flags, exit_code):
+        # lam^2 overflows beyond |lam| of about 1.3e154; 1/(1 + lam^2) is 0
+        code, out, err = run_cli(capsys, "measure", "--atoms=1e200:1", *flags)
+        assert (code, err) == (exit_code, "")
+        assert json.loads(out)["defect"] == "1"
+
     def test_atoms_and_file_conflict(self, capsys):
         code, _, _ = run_cli(capsys, "measure")
         assert code == 2
@@ -468,6 +476,24 @@ class TestColdStart:
         done = run_cold("-c", "import sys\nimport livcalc.cli\n" + _PRINT_FOOTPRINT)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_cli_import_generates_no_dataclass(self):
+        # numpy does not load dataclasses, so any load here is livcalc's
+        script = (
+            "import importlib, pkgutil, sys\n"
+            "import numpy\n"
+            "before = set(sys.modules)\n"
+            "import livcalc.cli\n"
+            "print('dataclasses' in set(sys.modules) - before)\n"
+            "import dataclasses\n"
+            "mods = [importlib.import_module(f'livcalc.{m.name}')\n"
+            "        for m in pkgutil.iter_modules(livcalc.__path__)]\n"
+            "print([f'{m.__name__}.{k}' for m in mods for k, v in vars(m).items()\n"
+            "       if isinstance(v, type) and dataclasses.is_dataclass(v)])\n"
+        )
+        done = run_cold("-c", script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "[]"]
 
     def test_cold_inversion_recovers_both_atoms(self):
         done = run_cold("-m", "livcalc.cli", "measure", "--atoms=1:1,-1:1", "--invert")

@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from livcalc import (
     BorelMeasureModel,
     EvaluationGrid,
     FnKind,
+    MoebiusMap,
     PoleEncountered,
     SampledDensity,
     TaggedCharacteristic,
@@ -23,6 +26,7 @@ from livcalc import (
     default_grid,
     evaluate_many,
     evaluate_on_grid,
+    g_plus,
     livsic_from_weyl,
     model_closed_forms,
     multiply_characteristic,
@@ -35,7 +39,9 @@ from livcalc import (
 from livcalc.core import (
     OVERFLOW_GUARD, complex_from_json, complex_to_json, grid_from_json, worst_of,
 )
+from livcalc.coupling import CouplingAngles
 from livcalc.extension import cayley_probe
+from livcalc.verify import CheckResult
 
 GRID = default_grid()
 
@@ -135,6 +141,62 @@ class TestEvaluationGrid:
         assert again.points.tolist() == [1j, 2 + 0.1j]
         assert [complex_to_json(z) for z in again] == obj["points"]
         assert again.description == "probe"
+
+
+#: one instance of each immutable value class, built afresh per call
+RECORDS = {
+    "AnalyticFn": lambda: constant_fn(0.5),
+    "EvaluationGrid": lambda: EvaluationGrid((1j, 2j), "two points"),
+    "CouplingAngles": lambda: CouplingAngles(0.5, 0.25),
+    "TaggedCharacteristic": lambda: TaggedCharacteristic(
+        constant_fn(0.5, FnKind.CHARACTERISTIC), 0.5),
+    "SampledDensity": lambda: SampledDensity(-1.0, 1.0, (0.0, 1.0, 0.5)),
+    "BorelMeasureModel": lambda: BorelMeasureModel(
+        ((0.5, 1.0),), SampledDensity(-1.0, 1.0, (0.0, 1.0, 0.5))),
+    "DeficiencyElement": lambda: g_plus(1.0),
+    "MoebiusMap": MoebiusMap.cayley,
+    "CheckResult": lambda: CheckResult("check", 1e-12, 1e-10),
+}
+COPYABLE = ["CouplingAngles", "BorelMeasureModel", "MoebiusMap", "CheckResult"]
+
+
+class TestValueClasses:
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_fields_cannot_be_assigned_or_deleted(self, name):
+        value = RECORDS[name]()
+        for field in type(value).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(value, field, getattr(value, field))
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+
+    @pytest.mark.parametrize("name", ["CouplingAngles", "BorelMeasureModel", "MoebiusMap"])
+    def test_equal_fields_give_equal_values_and_hashes(self, name):
+        a, b = RECORDS[name](), RECORDS[name]()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != tuple(getattr(a, f) for f in type(a).__slots__)
+
+    def test_unequal_fields_give_unequal_values(self):
+        assert CouplingAngles(0.5, 0.25) != CouplingAngles(0.5, 0.125)
+        assert MoebiusMap.cayley() != MoebiusMap.inverse_cayley()
+
+    def test_grids_compare_by_identity(self):
+        a, b = RECORDS["EvaluationGrid"](), RECORDS["EvaluationGrid"]()
+        assert a == a and a != b and len({a, b}) == 2
+
+    @pytest.mark.parametrize("round_trip", [
+        copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    @pytest.mark.parametrize("name", COPYABLE)
+    def test_copies_are_equal(self, name, round_trip):
+        value = RECORDS[name]()
+        again = round_trip(value)
+        assert type(again) is type(value) and again == value
+
+    def test_repr_names_the_fields(self):
+        # tests/test_moebius.py seeds its mpmath test points from this repr
+        assert repr(MoebiusMap.cayley()) == "MoebiusMap(a=(1+0j), b=(-0-1j), c=(1+0j), d=1j)"
+        assert repr(CouplingAngles(0.5, 0.25)) == "CouplingAngles(alpha=0.5, beta=0.25)"
 
 
 class TestToleranceConfig:

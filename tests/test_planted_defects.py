@@ -2,7 +2,6 @@
 ``livcalc verify-all`` and names exactly the checks that must fail, each with
 bounds on its worst deviation (a NaN or an exception fails a check too)."""
 
-import dataclasses
 import json
 import math
 
@@ -49,6 +48,12 @@ def g_plus_without_decay(ell):
     return model_mod.DeficiencyElement(ell, lambda x: c * math.exp(x), f"g_plus[ell={ell}]")
 
 
+def nudged_rotation(cls, alpha):
+    # d off by 1e-7: the rotation no longer fixes i
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    return cls(ca, -sa, sa, ca * 1.0000001)
+
+
 def flipped_shift(locs, weights, dens_x, dens_w, zs):
     # sum_j w_j [1/(l_j - z) + l_j/(1 + l_j^2)]: M(i) = i no longer follows
     x, w = np.append(locs, dens_x), np.append(weights, dens_w)
@@ -58,8 +63,8 @@ def flipped_shift(locs, weights, dens_x, dens_w, zs):
 #: (id, [(owner, attribute, planted value)], the failing checks with bounds)
 ROWS = [
     # a parameter tag off by 1e-6: the split couples its parts at the wrong angles
-    ("broken-tag", [(model_mod, "model_closed_forms", lambda ell: dataclasses.replace(
-        closed_forms(ell), kappa=math.exp(-ell) * (1 + 1e-6)))],
+    ("broken-tag", [(model_mod, "model_closed_forms", lambda ell: closed_forms(ell)._replace(
+        kappa=math.exp(-ell) * (1 + 1e-6)))],
      fails((1e-14, 1e-3), "model/interval-split")),
     # the coupling theorem holds for (e^{-ell1}, e^{-ell2}) in this order
     ("swapped-coupling-parameters", [(model_mod, "coupling_angles", lambda k, q: angles(q, k))],
@@ -129,12 +134,21 @@ ROWS = [
     ("add-weyl-without-squares", [(coupling, "convex_sum", lambda alpha, v1, v2:
         math.cos(alpha) * v1 + math.sin(alpha) * v2)],
      fails((0.3, 0.5), "coupling/addition-normalization", "coupling/class-properties(i-iv)")),
+    ("rotation-d-nudged", [(MoebiusMap, "halfplane_rotation", classmethod(nudged_rotation))],
+     fails((5e-8, 5e-7), "moebius/rotation-fixes-i", "extension/reference-change-laws")),
+    # K(z) = (z - i)/(z + i/2) still vanishes at i, but |K| nears 2 at the
+    # real axis and the inverse Cayley map no longer undoes it
+    ("cayley-d-halved",
+     [(MoebiusMap, "cayley", classmethod(lambda cls: cls(1.0, -1j, 1.0, 0.5j)))],
+     fails((0.3, 3.0), "moebius/cayley-contracts-halfplane", "moebius/cayley-round-trip",
+           "measure/herglotz-range-and-cayley-contraction", "extension/reference-change-laws",
+           "coupling/class-properties(i-iv)")),
     ("herglotz-shift-sign", [(_kernels, "herglotz_eval", flipped_shift)],
      fails((1.0, 3.0), "measure/normalization-equals-value-at-i")),
     # a peak left at its bracket's lower end, one scan spacing off: the mass
     # eps * Im M there decays with eps, so the atom is lost
     ("refinement-at-bracket-edge", [(measure, "minimize_scalar", lambda func, bounds, xatol:
-        dataclasses.replace(minimize(func, bounds, xatol), x=bounds[0]))],
+        minimize(func, bounds, xatol)._replace(x=bounds[0]))],
      fails(INF, "measure/two-atom-round-trip(scaled)")),
 ]
 
