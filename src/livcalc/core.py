@@ -90,8 +90,8 @@ class AnalyticFn(Record):
 
     ``evaluator`` maps a complex ndarray of half-plane points to the ndarray
     of values, elementwise and of the same shape, so a point has the same
-    value alone as inside any array.  A NaN value marks a pole (see
-    :func:`divide_off_pole`).  Constructors that compose functions call the
+    value alone as inside any array.  A value that is not finite or exceeds
+    OVERFLOW_GUARD marks a pole.  Constructors that compose functions call the
     inner evaluators, so the domain check and the pole guard of
     :meth:`__call__` run once per call.  ``kind`` tags the class role the
     constructor claims for the function (contractivity for
@@ -145,12 +145,9 @@ def _pole_message(f: AnalyticFn, z) -> str:
 
 
 def divide_off_pole(num, den, floor):
-    """``num / den``, with NaN wherever |den| < ``floor``.
-
-    The guard of :meth:`AnalyticFn.__call__` reports a NaN as a pole, so a
-    near-vanishing denominator raises alike in a point call and an array
-    call.
-    """
+    """``num / den``, with NaN wherever |den| < ``floor``: for the coupling
+    formulas, where a 0/0 at a tiny |den| can leave a finite quotient that the
+    pole guard of :meth:`AnalyticFn.__call__` would not see."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(np.abs(den) < floor, np.nan, num / den)
 

@@ -23,8 +23,7 @@ from .core import (
     worst_of,
 )
 from .errors import OutOfRange
-from .extension import ensure_kappa
-from .moebius import MoebiusMap
+from .moebius import MoebiusMap, ensure_kappa
 
 _HALF_PI = math.pi / 2
 

@@ -10,7 +10,7 @@ class PoleEncountered(LivcalcError):
 
 
 class DegenerateMap(LivcalcError):
-    """Moebius coefficients with (numerically) vanishing determinant."""
+    """Moebius coefficients with ad - bc exactly zero; a small one is valid."""
 
 
 class EmptyMeasure(LivcalcError):

@@ -14,15 +14,7 @@ import numpy as np
 
 from .core import IDENTITY_TOL, AnalyticFn, FnKind, complex_to_json, fmt_float
 from .errors import NotContractive
-from .moebius import MoebiusMap
-
-
-def ensure_kappa(kappa: complex) -> complex:
-    """Validate an extension parameter: a complex number with |kappa| < 1."""
-    kappa = complex(kappa)
-    if not abs(kappa) < 1.0:
-        raise ValueError(f"extension parameter needs |kappa| < 1, got |{kappa}| = {abs(kappa)}")
-    return kappa
+from .moebius import MoebiusMap, ensure_kappa
 
 
 def ensure_rotation(alpha: float) -> float:

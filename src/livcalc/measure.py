@@ -269,8 +269,10 @@ def stieltjes_invert(
     if len(eps) < 2 or not np.all(np.isfinite(eps) & (eps > 0.0)) or np.any(np.diff(eps) >= 0.0):
         raise ValueError("eps_schedule must be >= 2 strictly decreasing finite positive reals")
     x_lo, x_hi = float(window[0]), float(window[1])
-    if not (math.isfinite(x_lo) and math.isfinite(x_hi) and x_hi > x_lo):
-        raise ValueError(f"window {x_lo!r}:{x_hi!r} must be finite with lo < hi")
+    # a finite width hi - lo rules out infinite and NaN ends too
+    if not (math.isfinite(x_hi - x_lo) and x_hi > x_lo):
+        raise ValueError(f"window {x_lo!r}:{x_hi!r} must be finite with lo < hi "
+                         f"and a finite width")
     if n_scan < 5 or n_scan % 2 == 0:
         raise ValueError("n_scan must be odd and >= 5")
 
@@ -322,11 +324,13 @@ def stieltjes_invert(
         deduped.append(a)
     atoms = deduped
 
-    # density: remove the detected atoms' Poisson kernels, then extrapolate
+    # density: remove the detected atoms' Poisson kernels, then extrapolate;
+    # where (x - location)^2 overflows, the kernel is 0, its limit
     residual_imags = imags.copy()
-    for a in atoms:
-        for k, e in enumerate(eps):
-            residual_imags[k] -= a.weight * e / ((scan - a.location) ** 2 + e * e)
+    with np.errstate(over="ignore"):
+        for a in atoms:
+            for k, e in enumerate(eps):
+                residual_imags[k] -= a.weight * e / ((scan - a.location) ** 2 + e * e)
     density_vals = _extrapolate_to_zero(eps, residual_imags / math.pi)
     density_vals = np.clip(density_vals, 0.0, None)
     density = SampledDensity(x_lo, x_hi, tuple(density_vals))

@@ -1,14 +1,19 @@
 """Linear-fractional transformations: the Cayley transform, disk
 automorphisms, and the half-plane rotation subgroup.
 
-This is the one implementation of each map and of its pole rule: the
-function-level bridges (``characteristic_from_livsic``, ``livsic_from_weyl``,
+This is the one implementation of each map: the function-level bridges
+(``characteristic_from_livsic``, ``livsic_from_weyl``,
 ``reference_change_weyl``, ``cayley_probe``, the general-k identity) compose
 with :meth:`MoebiusMap.after` or evaluate :meth:`MoebiusMap.values`, and
 the ``verify-all`` battery checks the maps on that same array path.  The
 scalar :meth:`MoebiusMap.__call__` stays in Python-complex arithmetic as the
 tests' independent reference for the array path; nothing in the package
 calls it.
+
+Every map has one pole rule, the guard of :class:`~livcalc.core.AnalyticFn`:
+a value that is not finite or exceeds ``OVERFLOW_GUARD``.  Near a pole the
+value is about -(ad - bc)/(c (c z + d)), past the guard; a small determinant
+alone, as -(1 - |kappa|^2) of the disk automorphism at |kappa| -> 1, is none.
 """
 
 from __future__ import annotations
@@ -17,10 +22,16 @@ import math
 
 import numpy as np
 
-from .core import AnalyticFn, FnKind, Record, divide_off_pole
-from .errors import DegenerateMap, PoleEncountered
+from .core import AnalyticFn, FnKind, Record
+from .errors import DegenerateMap, OutOfRange, PoleEncountered
 
-DET_THRESHOLD = 1e-14
+
+def ensure_kappa(kappa: complex) -> complex:
+    """Validate an extension parameter: a complex number with |kappa| < 1."""
+    kappa = complex(kappa)
+    if not abs(kappa) < 1.0:
+        raise OutOfRange(f"extension parameter needs |kappa| < 1, got |{kappa}| = {abs(kappa)}")
+    return kappa
 
 
 class MoebiusMap(Record):
@@ -34,12 +45,8 @@ class MoebiusMap(Record):
     def __init__(self, a: complex, b: complex, c: complex, d: complex):
         for name, value in zip(self.__slots__, (a, b, c, d)):
             object.__setattr__(self, name, complex(value))
-        if abs(self.det) <= DET_THRESHOLD:
-            raise DegenerateMap(f"determinant {self.det!r} below threshold")
-
-    @property
-    def det(self) -> complex:
-        return self.a * self.d - self.b * self.c
+        if self.a * self.d == self.b * self.c:
+            raise DegenerateMap(f"determinant of {self!r} is zero")
 
     # --- named constructors --------------------------------------------
 
@@ -56,9 +63,7 @@ class MoebiusMap(Record):
     @classmethod
     def disk_automorphism(cls, kappa: complex) -> "MoebiusMap":
         """w -> (w - kappa)/(conj(kappa) w - 1), an involution of the disk."""
-        kappa = complex(kappa)
-        if not abs(kappa) < 1.0:
-            raise ValueError(f"|kappa| = {abs(kappa)} must be < 1")
+        kappa = ensure_kappa(kappa)
         return cls(1.0, -kappa, kappa.conjugate(), -1.0)
 
     @classmethod
@@ -69,22 +74,17 @@ class MoebiusMap(Record):
 
     # --- action ----------------------------------------------------------
 
-    @property
-    def pole_floor(self) -> float:
-        """|c z + d| below this is a pole: the guard scales with the
-        coefficient magnitudes."""
-        return DET_THRESHOLD * (abs(self.c) + abs(self.d))
-
     def __call__(self, z: complex) -> complex:
         z = complex(z)
         den = self.c * z + self.d
-        if abs(den) < self.pole_floor:
-            raise PoleEncountered(f"Moebius pole near z = {z}")
+        if den == 0:
+            raise PoleEncountered(f"Moebius pole at z = {z}")
         return (self.a * z + self.b) / den
 
     def values(self, w: np.ndarray) -> np.ndarray:
-        """The map over an array, NaN at a pole (see ``divide_off_pole``)."""
-        return divide_off_pole(self.a * w + self.b, self.c * w + self.d, self.pole_floor)
+        """The map over an array; inf or NaN at a pole."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (self.a * w + self.b) / (self.c * w + self.d)
 
     def after(self, f: AnalyticFn, kind: FnKind, label: str) -> AnalyticFn:
         """The composition z -> self(f(z)) as an analytic function."""

@@ -119,7 +119,8 @@ def model_livsic_quadrature(ell: float, z: complex) -> complex:
     end of the interval by composite Gauss-Legendre quadrature with a panel
     count scaled to |z + i| * ell.  Agrees with the closed form within
     QUADRATURE_TOL; raises QuadratureFailed when |z + i| * ell is too large
-    for the MAX_NODES budget (past about 4.37e4).
+    for the MAX_NODES budget (past about 4.37e4), and when J_+ underflows to
+    0 (at ell far below 1e-300).
     """
     ell = float(ell)
     if not (ell > 0.0 and math.isfinite(ell)):
@@ -127,12 +128,16 @@ def model_livsic_quadrature(ell: float, z: complex) -> complex:
     z = require_upper(z)
     tol = QUADRATURE_TOL / 10.0
     b = -1j * z * ell
-    m = max(1, math.ceil(abs(z + 1j) * ell / PANEL_SPAN))
+    width = abs(z + 1j) * ell / PANEL_SPAN
+    # past the budget, inf and NaN included, m starts too large to loop
+    m = max(1, math.ceil(width)) if width <= MAX_NODES else MAX_NODES
     while 3 * GAUSS_POINTS * m <= MAX_NODES:
         # J_- on m and 2m panels, then J_+ on m and 2m panels
         minus_m, minus_2m, plus_m, plus_2m = gauss_exp(b, *_panel_rule(ell, m)).tolist()
         # bounds the estimated error of s by tol * (1 + |s|)
         if max(abs(minus_2m - minus_m), abs(plus_2m - plus_m)) <= tol * abs(plus_2m):
+            if plus_2m == 0:
+                raise QuadratureFailed(f"J_+ underflows to 0 (z = {z}, ell = {ell})")
             return (z - 1j) / (z + 1j) * minus_2m / plus_2m
         m *= 2
     raise QuadratureFailed(

@@ -171,6 +171,18 @@ class TestModelVerb:
         assert (code, out) == (2, "")
         assert err.startswith("error: no convergence") and "node budget" in err
 
+    @pytest.mark.parametrize("ell, z", [
+        # |z + i| * ell overflows to inf
+        ("1.7e308", "0+2i"), ("1.7e308", "0+1e300i"), ("1e300", "0+1e300i"),
+        # J_+ underflows to 0
+        ("5e-324", "1e300+1i"), ("5e-324", "0+1e300i"),
+    ])
+    def test_oracle_out_of_reach_names_ell_and_z(self, capsys, ell, z):
+        code, out, err = run_cli(capsys, "model", "--length", ell, "--eval", z, "--oracle")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert f"z = {parse_complex(z)}" in err and f"ell = {float(ell)}" in err
+
 
 class TestCoupleVerb:
     def test_nunu_check_passes(self, capsys):
@@ -226,6 +238,18 @@ class TestMultiplyVerb:
         assert float(report["tag_defect"]) < 1e-12
 
 
+class TestDiskEdge:
+    # |kappa| = 1 - 2^-53: the disk automorphism's determinant is -2.2e-16
+    @pytest.mark.parametrize("argv", [
+        "multiply --kappa1 0.9999999999999999 --kappa2 0.9999999999999999",
+        "couple --kappa1 0.9999999999999999 --kappa2 0.9999999999999999 --check nunu",
+        "couple --kappa1 0.9999999999999999 --kappa2 0.5 --check formula1",
+    ], ids=["multiply", "couple-nunu", "couple-formula1"])
+    def test_kappa_at_disk_edge_gets_a_value(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, err, json.loads(out)["pass"]) == (0, "", True)
+
+
 class TestAddVerb:
     @pytest.mark.parametrize("alpha", ["0", "0.7853981633974483", "1.5707963267948966"])
     def test_normalization_preserved(self, capsys, alpha):
@@ -275,7 +299,7 @@ class TestMeasureVerb:
         )
         assert code == 0
 
-    @pytest.mark.parametrize("window", ["-inf:2", "-2:inf"])
+    @pytest.mark.parametrize("window", ["-inf:2", "-2:inf", "-1e308:1e308"])
     def test_non_finite_window_is_usage_error(self, window):
         done = run_cold(
             "-m", "livcalc.cli", "measure", "--atoms=1:1,-1:1", "--invert", f"--window={window}"
@@ -292,6 +316,15 @@ class TestMeasureVerb:
         code, out, err = run_cli(capsys, "measure", "--atoms=1e200:1", *flags)
         assert (code, err) == (exit_code, "")
         assert json.loads(out)["defect"] == "1"
+
+    @pytest.mark.filterwarnings("error")
+    def test_window_far_beyond_atom_warns_nothing(self, capsys):
+        # (x - location)^2 overflows at the window's ends; the kernel there is 0
+        code, out, err = run_cli(capsys, "measure", "--atoms=0:1", "--invert",
+                                 "--window=-1e300:1e300")
+        assert (code, err) == (0, "")
+        atoms = json.loads(out)["recovered_atoms"]
+        assert [(a["location"], a["weight"]) for a in atoms] == [("0", "1")]
 
     def test_atoms_and_file_conflict(self, capsys):
         code, _, _ = run_cli(capsys, "measure")

@@ -11,6 +11,7 @@ from livcalc import (
     ClassVerdict,
     FnKind,
     NotContractive,
+    OutOfRange,
     characteristic_from_livsic,
     class_C_check,
     constant_fn,
@@ -40,7 +41,7 @@ class TestEnsureKappa:
 
     @pytest.mark.parametrize("bad", [1.0, -1.0, 1j, 0.8 + 0.8j])
     def test_rejects_boundary_and_outside(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange, match=r"needs \|kappa\| < 1"):
             ensure_kappa(bad)
 
 

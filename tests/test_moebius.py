@@ -81,6 +81,17 @@ class TestApply:
         with pytest.raises(PoleEncountered):
             K(-1j)
 
+    def test_disk_edge_is_no_pole(self):
+        # determinant -2.2e-16 and |den| = 1.1e-15, yet the value is 0.818
+        kappa = 1 - 2**-53
+        w = kappa * (1 - 1e-15)
+        T = MoebiusMap.disk_automorphism(kappa)
+        with mpmath.workdps(40):
+            exact = float((w - mpmath.mpf(kappa)) / (kappa * mpmath.mpf(w) - 1))
+        composed = T.after(AnalyticFn(lambda zs: np.full_like(zs, w)), FnKind.GENERIC, "T(w)")
+        for value in (T(w), composed(1j)):
+            assert abs(value - exact) <= 2e-16 * exact
+
 
 class TestCompose:
     # compositions as maps, point by point on the default grid; the disk
@@ -184,7 +195,8 @@ def _array_maps():
              pytest.param(MoebiusMap.inverse_cayley(), False, id="inverse_cayley")]
     cases += [pytest.param(MoebiusMap.disk_automorphism(kappa), False,
                            id=f"disk_automorphism[{kappa}]")
-              for kappa in (0.0, 0.5, cmath.rect(0.95, 1.0), -0.6j, 0.999)]
+              for kappa in (0.0, 0.5, cmath.rect(0.95, 1.0), -0.6j, 0.999,
+                            1 - 2**-53, cmath.rect(1 - 2**-53, math.pi / 3))]
     cases += [pytest.param(MoebiusMap.halfplane_rotation(alpha), True,
                            id=f"halfplane_rotation[{alpha}]")
               for alpha in (0.3, 1.0, 2.5)]
