@@ -34,6 +34,7 @@ from .errors import (
     OutOfRange,
     PoleEncountered,
     QuadratureFailed,
+    UsageError,
     WindowTooSmall,
 )
 from .extension import (

@@ -2,9 +2,11 @@
 measure realization/inversion, and the model oracle.
 
 Exit codes: 0 success, 1 a requested verification exceeded its tolerance,
-2 usage error.  Output is deterministic: fixed evaluation order and all
-floating-point values rendered at 17 significant digits, so identical argv
-yields byte-identical output.
+2 rejected input: an argparse usage error, or a LivcalcError or OSError
+(an unreadable file) printed as one ``error:`` line.  Any other exception is
+a program error and escapes :func:`main`.  Output is deterministic: fixed
+evaluation order and all floating-point values rendered at 17 significant
+digits, so identical argv yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .core import (
     grid_from_json,
 )
 from .coupling import TaggedCharacteristic, add_weyl, convexity_defects, multiply_characteristic
-from .errors import LivcalcError, PoleEncountered
+from .errors import LivcalcError, OutOfRange, PoleEncountered, UsageError
 from .extension import ClassVerdict, cayley_probe, characteristic_from_livsic, class_C_check
 from .measure import (
     BorelMeasureModel,
@@ -96,15 +98,32 @@ def parse_eps(text: str):
         ) from exc
 
 
+def parse_probe(text: str):
+    """'cayley' or 'const:<a+bi>': the bounded Cayley probe or a constant."""
+    if text == "cayley":
+        return cayley_probe()
+    if text.startswith("const:"):
+        return constant_fn(parse_complex(text[len("const:"):]))
+    raise argparse.ArgumentTypeError(f"unknown probe {text!r}")
+
+
+def read_json(path: str, parse):
+    """``parse`` of the JSON document in the file at ``path``.  OSError where
+    the file cannot be read; UsageError, naming the path, where it is not
+    UTF-8 JSON or ``parse`` rejects the document."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse(json.load(handle))
+    except (UnicodeDecodeError, json.JSONDecodeError, LivcalcError) as exc:
+        raise UsageError(f"{path}: {exc}") from None
+
+
 def load_grid(spec: str) -> EvaluationGrid:
     if spec == "default":
         return default_grid()
     if spec.startswith("file:"):
-        with open(spec[len("file:"):], "r", encoding="utf-8") as handle:
-            return grid_from_json(json.load(handle))
-    raise argparse.ArgumentTypeError(
-        f"grid must be 'default' or 'file:<path>', got {spec!r}"
-    )
+        return read_json(spec[len("file:"):], grid_from_json)
+    raise UsageError(f"grid must be 'default' or 'file:<path>', got {spec!r}")
 
 
 def emit_json(report: dict) -> None:
@@ -143,8 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_model = sub.add_parser("model", help="interval-model closed forms (and oracle)")
     p_model.add_argument("--length", type=float, required=True, help="interval length")
-    p_model.add_argument("--eval", type=parse_complex, help="single point a+bi in C+")
-    p_model.add_argument("--grid", type=str, help="'default' or file:<path> for a sweep")
+    target = p_model.add_mutually_exclusive_group(required=True)
+    target.add_argument("--eval", type=parse_complex, help="single point a+bi in C+")
+    target.add_argument("--grid", type=str, help="'default' or file:<path> for a sweep")
     p_model.add_argument("--oracle", action="store_true",
                          help="cross-check s against the quadrature oracle")
     p_model.add_argument("--format", choices=("json", "csv"), default="json",
@@ -171,8 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_meas = sub.add_parser("measure", help="realize a measure model; optionally "
                                             "check normalization or invert")
-    p_meas.add_argument("--atoms", type=parse_atoms, help='e.g. "0:1" or "1:1,-1:1"')
-    p_meas.add_argument("--measure-file", type=str, help="measure model JSON file")
+    source = p_meas.add_mutually_exclusive_group(required=True)
+    source.add_argument("--atoms", type=parse_atoms, help='e.g. "0:1" or "1:1,-1:1"')
+    source.add_argument("--measure-file", type=str, help="measure model JSON file")
     p_meas.add_argument("--check-normalization", action="store_true")
     p_meas.add_argument("--invert", action="store_true")
     p_meas.add_argument("--window", type=parse_window, default=(-2.0, 2.0))
@@ -180,9 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_class = sub.add_parser("check-class", help="membership heuristic for the "
                                                  "vanishing-at-i class")
-    p_class.add_argument("--length", type=float, help="probe the interval model s")
-    p_class.add_argument("--probe", type=str,
-                         help="'cayley' or 'const:<a+bi>' counterexample probes")
+    probe = p_class.add_mutually_exclusive_group(required=True)
+    probe.add_argument("--length", type=float, help="probe the interval model s")
+    probe.add_argument("--probe", type=parse_probe,
+                       help="'cayley' or 'const:<a+bi>' counterexample probes")
 
     sub.add_parser("verify-all", help="run every module invariant suite")
 
@@ -191,45 +213,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_model(args) -> int:
     forms = model_closed_forms(args.length)
-    if args.eval is None and args.grid is None:
-        raise UsageError("model requires --eval or --grid")
-    if args.eval is not None and args.grid is not None:
-        raise UsageError("--eval and --grid are mutually exclusive")
+    report = {"ell": fmt_float(args.length), "kappa": fmt_float(forms.kappa)}
     if args.eval is not None:
         if args.format == "csv":
             raise UsageError("--format csv applies to --grid sweeps; --eval prints JSON")
         z = args.eval
-        if z.imag <= 0:
-            raise UsageError(f"evaluation point {z} must lie in the upper half-plane")
-        report = {
-            "ell": fmt_float(args.length),
-            "kappa": fmt_float(forms.kappa),
-            "s": complex_to_json(forms.livsic(z)),
-            "S": complex_to_json(forms.characteristic(z)),
-        }
+        report["s"] = complex_to_json(forms.livsic(z))
+        report["S"] = complex_to_json(forms.characteristic(z))
         if args.oracle:
             s_quad = model_livsic_quadrature(args.length, z)
             report["s_oracle"] = complex_to_json(s_quad)
             report["oracle_deviation"] = fmt_float(abs(s_quad - forms.livsic(z)))
-        emit_json(report)
-        return 0
-    grid = load_grid(args.grid)
-    values = evaluate_on_grid(forms.livsic, grid)
-    if args.format == "csv":
-        emit_grid_csv(grid, values)
     else:
-        emit_json(
-            {
-                "ell": fmt_float(args.length),
-                "kappa": fmt_float(forms.kappa),
-                "values": [
-                    {"z": complex_to_json(z), "s": complex_to_json(v)}
-                    if not isinstance(v, PoleEncountered)
-                    else {"z": complex_to_json(z), "s": None}
-                    for z, v in zip(grid, values)
-                ],
-            }
-        )
+        grid = load_grid(args.grid)
+        values = evaluate_on_grid(forms.livsic, grid)
+        if args.format == "csv":
+            emit_grid_csv(grid, values)
+            return 0
+        report["values"] = [
+            {"z": complex_to_json(z),
+             "s": None if isinstance(v, PoleEncountered) else complex_to_json(v)}
+            for z, v in zip(grid, values)
+        ]
+    emit_json(report)
     return 0
 
 
@@ -241,7 +247,7 @@ def cmd_couple(args) -> int:
     # two different lengths, so that swapping s1 and s2 breaks the law
     s1 = model_closed_forms(args.length).livsic
     if not math.isfinite(2.0 * args.length):
-        raise UsageError(
+        raise OutOfRange(
             f"--length {args.length} is too large: the second model's length "
             f"2 * ell overflows a double"
         )
@@ -301,13 +307,8 @@ def cmd_add(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    if (args.atoms is None) == (args.measure_file is None):
-        raise UsageError("measure requires exactly one of --atoms / --measure-file")
-    if args.atoms is not None:
-        mu = BorelMeasureModel(args.atoms)
-    else:
-        with open(args.measure_file, "r", encoding="utf-8") as handle:
-            mu = BorelMeasureModel.from_json(json.load(handle))
+    mu = (BorelMeasureModel(args.atoms) if args.atoms is not None
+          else read_json(args.measure_file, BorelMeasureModel.from_json))
     M = realize_herglotz(mu)
     defect = normalization_defect(mu)
     report = {
@@ -333,16 +334,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_check_class(args) -> int:
-    if (args.length is None) == (args.probe is None):
-        raise UsageError("check-class requires exactly one of --length / --probe")
-    if args.length is not None:
-        fn = model_closed_forms(args.length).livsic
-    elif args.probe == "cayley":
-        fn = cayley_probe()
-    elif args.probe.startswith("const:"):
-        fn = constant_fn(parse_complex(args.probe[len("const:"):]))
-    else:
-        raise UsageError(f"unknown probe {args.probe!r}")
+    fn = args.probe if args.length is None else model_closed_forms(args.length).livsic
     report = class_C_check(fn)
     emit_json(report.to_json())
     return 0 if report.verdict is ClassVerdict.CONSISTENT_WITH_C else 1
@@ -358,10 +350,6 @@ def cmd_verify_all(args) -> int:
     report["all_passed"] = all_passed
     emit_json(report)
     return 0 if all_passed else 1
-
-
-class UsageError(Exception):
-    pass
 
 
 _DISPATCH = {
@@ -382,7 +370,7 @@ def main(argv: Optional[list] = None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.verb](args)
-    except (UsageError, LivcalcError, ValueError, OSError, argparse.ArgumentTypeError) as exc:
+    except (LivcalcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

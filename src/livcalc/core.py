@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import PoleEncountered
+from .errors import OutOfRange, PoleEncountered, UsageError
 
 #: Values with magnitude above this are treated as a pole hit.
 OVERFLOW_GUARD = 1e12
@@ -42,8 +42,16 @@ def require_upper(z: complex) -> complex:
     """Validate that ``z`` lies strictly in the open upper half-plane."""
     z = complex(z)
     if not (z.imag > 0.0) or not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"point {z!r} is not in the open upper half-plane")
+        raise OutOfRange(f"point {z!r} is not in the open upper half-plane")
     return z
+
+
+def require_length(ell: float) -> float:
+    """Validate an interval length: finite and positive."""
+    ell = float(ell)
+    if not (ell > 0.0 and math.isfinite(ell)):
+        raise OutOfRange(f"interval length must be finite and positive, got {ell}")
+    return ell
 
 
 class Record:
@@ -111,7 +119,7 @@ class AnalyticFn(Record):
         """The value at a point, as a ``complex``, or the values over an
         array of points, as an ndarray of the same shape.
 
-        Raises ValueError for a point outside the open upper half-plane and
+        Raises OutOfRange for a point outside the open upper half-plane and
         PoleEncountered where a value is not finite or exceeds
         OVERFLOW_GUARD.
         """
@@ -129,8 +137,7 @@ def _guarded_values(f: AnalyticFn, z):
     zs = np.asarray(z, dtype=np.complex128).reshape(-1)
     outside = ~(zs.imag > 0.0) | ~np.isfinite(zs)
     if outside.any():
-        point = complex(zs[np.argmax(outside)])
-        raise ValueError(f"point {point!r} is not in the open upper half-plane")
+        require_upper(zs[np.argmax(outside)])
     with np.errstate(all="ignore"):
         values = np.asarray(f.evaluator(zs), dtype=np.complex128)
         modulus = np.abs(values)
@@ -162,13 +169,13 @@ class EvaluationGrid(Record):
     def __init__(self, points: np.ndarray, description: str = ""):
         pts = np.array(points, dtype=np.complex128).reshape(-1)
         if pts.size == 0:
-            raise ValueError("grid must be nonempty")
+            raise OutOfRange("grid must be nonempty")
         outside = ~(pts.imag > 0.0) | ~np.isfinite(pts)
         if outside.any():
             require_upper(pts[np.argmax(outside)])
         ordered = np.sort(pts)
         if (ordered[1:] == ordered[:-1]).any():
-            raise ValueError("grid points must be pairwise distinct")
+            raise OutOfRange("grid points must be pairwise distinct")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "description", description)
@@ -280,12 +287,12 @@ def complex_to_json(z: complex) -> dict:
 
 
 def json_number(obj, key, where: str) -> float:
-    """``obj[key]`` as a float; a ValueError that names ``where`` and
+    """``obj[key]`` as a float; a UsageError that names ``where`` and
     ``key`` if the entry is missing or not a number."""
     try:
         return float(obj[key])
     except (KeyError, IndexError, TypeError, ValueError):
-        raise ValueError(f"{where}: {key!r} is missing or not a number") from None
+        raise UsageError(f"{where}: {key!r} is missing or not a number") from None
 
 
 def json_list(obj, key: str, where: str, default=None) -> list:
@@ -293,7 +300,7 @@ def json_list(obj, key: str, where: str, default=None) -> list:
     a list."""
     value = obj.get(key, default) if isinstance(obj, dict) else None
     if not isinstance(value, list):
-        raise ValueError(f"{where}: {key!r} is missing or not a list")
+        raise UsageError(f"{where}: {key!r} is missing or not a list")
     return value
 
 

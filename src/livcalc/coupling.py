@@ -40,10 +40,9 @@ class CouplingAngles(Record):
     __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha: float, beta: float):
-        if not (0.0 <= alpha <= _HALF_PI):
-            raise ValueError(f"alpha = {alpha} outside [0, pi/2]")
-        if not (0.0 <= beta <= _HALF_PI):
-            raise ValueError(f"beta = {beta} outside [0, pi/2]")
+        for name, angle in (("alpha", alpha), ("beta", beta)):
+            if not (0.0 <= angle <= _HALF_PI):
+                raise OutOfRange(f"{name} = {angle} outside [0, pi/2]")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 
@@ -134,7 +133,7 @@ def general_k_identity_defect(
 def convex_sum(alpha: float, v1, v2):
     """cos^2(alpha) v1 + sin^2(alpha) v2 for a finite angle: the addition law on values."""
     if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+        raise OutOfRange(f"alpha must be finite, got {alpha}")
     return math.cos(alpha) ** 2 * v1 + math.sin(alpha) ** 2 * v2
 
 
@@ -171,7 +170,7 @@ class TaggedCharacteristic(Record):
             raise ValueError("tagged function must have Characteristic kind")
         defect = abs(fn(1j) - kappa)
         if defect >= IDENTITY_TOL:
-            raise ValueError(f"tag kappa = {kappa} disagrees with fn(i) by {defect:.3g}")
+            raise OutOfRange(f"tag kappa = {kappa} disagrees with fn(i) by {defect:.3g}")
         object.__setattr__(self, "fn", fn)
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "tag_defect", defect)

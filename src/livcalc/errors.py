@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  Every rejection of input from
+outside the program is a LivcalcError; a bare ValueError is a program error."""
 
 
 class LivcalcError(Exception):
@@ -26,7 +27,12 @@ class NotContractive(LivcalcError):
 
 
 class OutOfRange(LivcalcError, ValueError):
-    """Scalar parameter outside its documented range."""
+    """A value outside its documented range: a scalar parameter, a point off
+    the upper half-plane, a grid, a measure, an inversion window or eps schedule."""
+
+
+class UsageError(LivcalcError, ValueError):
+    """Conflicting flags, or a grid spec, grid file or measure file not of its form."""
 
 
 class QuadratureFailed(LivcalcError):

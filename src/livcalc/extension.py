@@ -13,7 +13,7 @@ from typing import List, NamedTuple
 import numpy as np
 
 from .core import IDENTITY_TOL, AnalyticFn, FnKind, complex_to_json, fmt_float
-from .errors import NotContractive
+from .errors import NotContractive, OutOfRange
 from .moebius import MoebiusMap, ensure_kappa
 
 
@@ -21,7 +21,7 @@ def ensure_rotation(alpha: float) -> float:
     """Validate a reference-rotation angle in [0, pi)."""
     alpha = float(alpha)
     if not (0.0 <= alpha < math.pi):
-        raise ValueError(f"rotation angle {alpha} outside [0, pi)")
+        raise OutOfRange(f"rotation angle {alpha} outside [0, pi)")
     return alpha
 
 

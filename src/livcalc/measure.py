@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .core import AnalyticFn, FnKind, Record, evaluate_many, json_list, json_number
-from .errors import EmptyMeasure, WindowTooSmall
+from .errors import EmptyMeasure, OutOfRange, UsageError, WindowTooSmall
 from .moebius import MoebiusMap
 
 
@@ -38,12 +38,12 @@ class SampledDensity(Record):
 
     def __init__(self, x_lo: float, x_hi: float, values: tuple):
         if not x_hi > x_lo:
-            raise ValueError("density window must have x_hi > x_lo")
+            raise OutOfRange("density window must have x_hi > x_lo")
         vals = np.asarray(values, dtype=np.float64)
         if vals.ndim != 1 or vals.size < 3 or vals.size % 2 == 0:
-            raise ValueError("density needs an odd sample count >= 3")
+            raise OutOfRange("density needs an odd sample count >= 3")
         if not np.all(np.isfinite(vals) & (vals >= 0.0)):
-            raise ValueError("density samples must be finite and nonnegative")
+            raise OutOfRange("density samples must be finite and nonnegative")
         object.__setattr__(self, "x_lo", x_lo)
         object.__setattr__(self, "x_hi", x_hi)
         object.__setattr__(self, "values", tuple(vals.tolist()))
@@ -72,15 +72,15 @@ class BorelMeasureModel(Record):
         atoms = tuple((float(loc), float(w)) for loc, w in atoms)
         locs = [a[0] for a in atoms]
         if len(set(locs)) != len(locs):
-            raise ValueError("atom locations must be pairwise distinct")
+            raise OutOfRange("atom locations must be pairwise distinct")
         if any(w <= 0.0 or not math.isfinite(w) for _, w in atoms):
-            raise ValueError("atom weights must be strictly positive and finite")
+            raise OutOfRange("atom weights must be strictly positive and finite")
         if any(not math.isfinite(loc) for loc, _ in atoms):
-            raise ValueError("atom locations must be finite")
+            raise OutOfRange("atom locations must be finite")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "density", density)
         if not math.isfinite(self.normalization_integral()):
-            raise ValueError("normalization integral must be finite")
+            raise OutOfRange("normalization integral must be finite")
 
     def locations(self) -> np.ndarray:
         return np.asarray([a[0] for a in self.atoms], dtype=np.float64)
@@ -121,7 +121,7 @@ class BorelMeasureModel(Record):
             )
             h = json_number(raw, "h", "density") if "h" in raw else dens.h
             if abs(dens.h - h) > 1e-12 * max(1.0, dens.h):
-                raise ValueError("density 'h' inconsistent with window and sample count")
+                raise UsageError("density 'h' inconsistent with window and sample count")
         return cls(atoms, dens)
 
 
@@ -177,10 +177,10 @@ def minimize_scalar(func, bounds, xatol: float) -> BoundedMinimum:
     g = -1/func is a parabola with vertex lam: fit it through the bracket's
     ends and midpoint, then again around that vertex at the spacing the
     first fit implies (eps/sqrt(2) for a pure Lorentzian, floored at
-    ``xatol``), clamping each vertex to ``bounds``.  Where g is not convex
-    or not positive, the current point is kept.  At most six evaluations,
-    all counted in ``nfev``.  The name stays because the benchmark tracer
-    binds it.
+    ``xatol``), clamping each vertex to ``bounds``.  Where g is not convex,
+    or not positive and finite, the current point is kept.  At most six
+    evaluations, all counted in ``nfev``.  The name stays because the
+    benchmark tracer binds it.
     """
     x1, x2 = (float(v) for v in bounds)
     if not (math.isfinite(x1) and math.isfinite(x2)):
@@ -192,8 +192,9 @@ def minimize_scalar(func, bounds, xatol: float) -> BoundedMinimum:
     def g(x):
         nonlocal nfev
         nfev += 1
-        f = func(x)
-        return -1.0 / f if f < 0.0 else math.nan
+        f = float(func(x))
+        value = -1.0 / f if f < 0.0 else math.nan
+        return value if math.isfinite(value) else math.nan
 
     def fit(x, h, mid):
         # vertex of the parabola through (x - h, x, x + h), and its curvature
@@ -267,14 +268,14 @@ def stieltjes_invert(
         raise ValueError("stieltjes_invert expects a Herglotz-kind function")
     eps = np.asarray(list(eps_schedule), dtype=np.float64)
     if len(eps) < 2 or not np.all(np.isfinite(eps) & (eps > 0.0)) or np.any(np.diff(eps) >= 0.0):
-        raise ValueError("eps_schedule must be >= 2 strictly decreasing finite positive reals")
+        raise OutOfRange("eps_schedule must be >= 2 strictly decreasing finite positive reals")
     x_lo, x_hi = float(window[0]), float(window[1])
     # a finite width hi - lo rules out infinite and NaN ends too
     if not (math.isfinite(x_hi - x_lo) and x_hi > x_lo):
-        raise ValueError(f"window {x_lo!r}:{x_hi!r} must be finite with lo < hi "
+        raise OutOfRange(f"window {x_lo!r}:{x_hi!r} must be finite with lo < hi "
                          f"and a finite width")
     if n_scan < 5 or n_scan % 2 == 0:
-        raise ValueError("n_scan must be odd and >= 5")
+        raise OutOfRange("n_scan must be odd and >= 5")
 
     scan = np.linspace(x_lo, x_hi, n_scan)
     spacing = scan[1] - scan[0]

@@ -15,20 +15,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .coupling import couple_livsic, coupling_angles
-from .core import AnalyticFn, EvaluationGrid, FnKind, Record, sup_deviation
+from .core import AnalyticFn, EvaluationGrid, FnKind, Record, require_length, sup_deviation
+from .errors import OutOfRange
 
 
 class ModelFunctions(NamedTuple):
     livsic: AnalyticFn
     characteristic: AnalyticFn
     kappa: float
-
-
-def _require_positive_length(ell: float) -> float:
-    ell = float(ell)
-    if not (ell > 0.0 and math.isfinite(ell)):
-        raise ValueError(f"interval length must be finite and positive, got {ell}")
-    return ell
 
 
 def model_closed_forms(ell: float) -> ModelFunctions:
@@ -48,7 +42,7 @@ def model_closed_forms(ell: float) -> ModelFunctions:
     roundoff, not relative to |s|: at ell = 400 and z = 2i this returns
     s = -0, where the value is e^{-400}, about 1.9e-174.
     """
-    ell = _require_positive_length(ell)
+    ell = require_length(ell)
     decay = math.exp(-ell)
     decay_m1 = math.expm1(-ell)
 
@@ -82,7 +76,7 @@ class DeficiencyElement(Record):
 
     def __call__(self, x: float) -> complex:
         if not (0.0 <= x <= self.length):
-            raise ValueError(f"x = {x} outside [0, {self.length}]")
+            raise OutOfRange(f"x = {x} outside [0, {self.length}]")
         return complex(self.evaluator(x))
 
 
@@ -97,14 +91,14 @@ def g_plus(ell: float) -> DeficiencyElement:
 
     Evaluated as sqrt(2) e^{x - ell}/sqrt(1 - e^{-2 ell}), which does not
     overflow at large ell."""
-    ell = _require_positive_length(ell)
+    ell = require_length(ell)
     c = _normalizer(ell)
     return DeficiencyElement(ell, lambda x: c * math.exp(x - ell), f"g_plus[ell={ell}]")
 
 
 def g_minus(ell: float) -> DeficiencyElement:
     """g_-(x) = sqrt(2)/sqrt(1 - e^{-2 ell}) * e^{-x}, unit norm."""
-    ell = _require_positive_length(ell)
+    ell = require_length(ell)
     c = _normalizer(ell)
     return DeficiencyElement(ell, lambda x: c * math.exp(-x), f"g_minus[ell={ell}]")
 
@@ -116,10 +110,10 @@ def split_interval_check(
     ell1 = gamma_fraction * ell: the sup over the grid of |s_ell - s|, where
     s = couple_livsic(s_ell1, s_ell2, coupling_angles(e^{-ell1}, e^{-ell2})).
     A wrong or swapped pair of parameters fails it."""
-    ell = _require_positive_length(ell)
+    ell = require_length(ell)
     gamma = float(gamma_fraction)
     if not (0.0 < gamma < 1.0):
-        raise ValueError(f"gamma_fraction = {gamma} outside (0, 1)")
+        raise OutOfRange(f"gamma_fraction = {gamma} outside (0, 1)")
     ell1 = gamma * ell
     part1 = model_closed_forms(ell1)
     part2 = model_closed_forms(ell - ell1)

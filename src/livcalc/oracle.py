@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from ._kernels import gauss_exp
-from .core import QUADRATURE_TOL, require_upper
+from .core import QUADRATURE_TOL, require_length, require_upper
 from .errors import QuadratureFailed
 
 #: Gauss-Legendre points per panel.
@@ -122,9 +122,7 @@ def model_livsic_quadrature(ell: float, z: complex) -> complex:
     for the MAX_NODES budget (past about 4.37e4), and when J_+ underflows to
     0 (at ell far below 1e-300).
     """
-    ell = float(ell)
-    if not (ell > 0.0 and math.isfinite(ell)):
-        raise ValueError(f"interval length must be finite and positive, got {ell}")
+    ell = require_length(ell)
     z = require_upper(z)
     tol = QUADRATURE_TOL / 10.0
     b = -1j * z * ell

@@ -1,19 +1,21 @@
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from test_argv_boundaries import check, run
 
 import livcalc
-from livcalc.cli import build_parser, main, parse_atoms, parse_complex
+from livcalc.cli import build_parser, parse_atoms, parse_complex
 
 
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+def report(argv: str, code: int = 0) -> dict:
+    """The JSON report of ``argv``, which must exit with ``code``."""
+    return json.loads(check(argv, code)[1])
 
 
 def run_cold(*args):
@@ -41,7 +43,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("bad", ["i", "+2i", "1+i", "abc", "1 + 2i"])
     def test_rejects_malformed(self, bad):
-        with pytest.raises(Exception):
+        with pytest.raises(argparse.ArgumentTypeError):
             parse_complex(bad)
 
     def test_atoms(self):
@@ -51,100 +53,68 @@ class TestParsing:
     def test_one_parser_per_process(self):
         assert build_parser() is build_parser()
 
-    def test_shared_parser_leaks_no_defaults(self, capsys):
+    def test_shared_parser_leaks_no_defaults(self):
         # a call after one with --check formula1 reads the default nunu again
         argv = ("couple", "--kappa1", "0.5", "--kappa2", "0.5")
         alone = run_cold("-m", "livcalc.cli", *argv)
-        assert run_cli(capsys, *argv, "--check", "formula1")[0] == 0
-        assert run_cli(capsys, *argv) == (alone.returncode, alone.stdout, alone.stderr)
+        assert run([*argv, "--check", "formula1"])[0] == 0
+        assert run(argv) == (alone.returncode, alone.stdout, alone.stderr)
         assert json.loads(alone.stdout)["check"] == "nunu"
 
-    def test_shared_parser_survives_a_usage_error(self, capsys):
-        assert run_cli(capsys, "model")[0] == 2
-        code, out, _ = run_cli(capsys, "model", "--length", "1", "--eval", "0+2i")
-        assert code == 0 and json.loads(out)["ell"] == "1"
+    def test_shared_parser_survives_a_usage_error(self):
+        check("model", 2, "required: --length")
+        assert report("model --length 1 --eval 0+2i")["ell"] == "1"
 
 
 class TestModelVerb:
-    def test_single_point_report(self, capsys):
-        code, out, _ = run_cli(capsys, "model", "--length", "1", "--eval", "0+2i")
-        assert code == 0
-        report = json.loads(out)
-        assert abs(float(report["s"]["re"]) - 0.24472847105479767) < 1e-15
-        assert abs(float(report["S"]["re"]) - math.exp(-2)) < 1e-15
-        assert abs(float(report["kappa"]) - math.exp(-1)) < 1e-15
+    def test_single_point_report(self):
+        got = report("model --length 1 --eval 0+2i")
+        assert abs(float(got["s"]["re"]) - 0.24472847105479767) < 1e-15
+        assert abs(float(got["S"]["re"]) - math.exp(-2)) < 1e-15
+        assert abs(float(got["kappa"]) - math.exp(-1)) < 1e-15
 
-    def test_oracle_flag(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "model", "--length", "1", "--eval", "0+2i", "--oracle"
-        )
-        assert code == 0
-        report = json.loads(out)
-        assert float(report["oracle_deviation"]) < 1e-8
+    def test_oracle_flag(self):
+        assert float(report("model --length 1 --eval 0+2i --oracle")["oracle_deviation"]) < 1e-8
 
-    def test_grid_sweep_csv(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "model", "--length", "1", "--grid", "default", "--format", "csv"
-        )
-        assert code == 0
-        lines = out.strip().split("\n")
+    def test_grid_sweep_csv(self):
+        lines = check("model --length 1 --grid default --format csv", 0)[1].strip().split("\n")
         assert lines[0] == "re,im,f_re,f_im"
         assert len(lines) == 1 + 21 * 21 + 1
 
-    def test_grid_file(self, capsys, tmp_path):
+    def test_grid_file(self, tmp_path):
         grid_file = tmp_path / "grid.json"
-        grid_file.write_text(
-            json.dumps(
-                {
-                    "points": [{"re": 0.0, "im": 1.0}, {"re": 0.0, "im": 2.0}],
-                    "description": "two points",
-                }
-            )
-        )
-        code, out, _ = run_cli(
-            capsys, "model", "--length", "1", "--grid", f"file:{grid_file}",
-            "--format", "csv",
-        )
-        assert code == 0
+        grid_file.write_text(json.dumps({
+            "points": [{"re": 0.0, "im": 1.0}, {"re": 0.0, "im": 2.0}],
+            "description": "two points",
+        }))
+        out = check(f"model --length 1 --grid file:{grid_file} --format csv", 0)[1]
         assert len(out.strip().split("\n")) == 3
 
-    def test_eval_and_grid_conflict(self, capsys):
-        code, _, err = run_cli(
-            capsys, "model", "--length", "1", "--eval", "0+1i", "--grid", "default"
-        )
-        assert code == 2
-        assert "error" in err
+    def test_eval_and_grid_conflict(self):
+        check("model --length 1 --eval 0+1i --grid default", 2,
+              "argument --grid: not allowed with argument --eval")
 
-    def test_requires_point_or_grid(self, capsys):
-        code, _, _ = run_cli(capsys, "model", "--length", "1")
-        assert code == 2
+    def test_requires_point_or_grid(self):
+        check("model --length 1", 2, "one of the arguments --eval --grid is required")
 
-    def test_rejects_lower_halfplane_eval(self, capsys):
-        code, _, _ = run_cli(capsys, "model", "--length", "1", "--eval", "0-1i")
-        assert code == 2
+    def test_rejects_lower_halfplane_eval(self):
+        check("model --length 1 --eval 0-1i", 2,
+              r"^error: point -1j is not in the open upper half-plane$")
 
-    def test_tiny_length_keeps_its_digits(self, capsys):
+    def test_tiny_length_keeps_its_digits(self):
         # e^{-ell} rounds to 1 here; s(2i) -> 1/3 as ell -> 0
-        code, out, _ = run_cli(capsys, "model", "--length", "1e-300", "--eval", "0+2i")
-        assert code == 0
-        s = json.loads(out)["s"]
+        s = report("model --length 1e-300 --eval 0+2i")["s"]
         assert abs(complex(float(s["re"]), float(s["im"])) - 1.0 / 3.0) < 1e-15
 
-    def test_oracle_at_large_real_part(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "model", "--length", "1", "--eval", "10000+1i", "--oracle"
-        )
-        assert code == 0
-        assert float(json.loads(out)["oracle_deviation"]) < 1e-8
+    def test_oracle_at_large_real_part(self):
+        got = report("model --length 1 --eval 10000+1i --oracle")
+        assert float(got["oracle_deviation"]) < 1e-8
 
-    def test_oracle_at_length_400(self, capsys):
+    def test_oracle_at_length_400(self):
         # e^{2 ell} and e^{(Im z + 1) ell} overflow a double here; the oracle
         # forms neither
-        code, out, _ = run_cli(
-            capsys, "model", "--length", "400", "--eval", "0+2i", "--oracle"
-        )
-        assert code == 0
-        assert float(json.loads(out)["oracle_deviation"]) < 1e-8
+        got = report("model --length 400 --eval 0+2i --oracle")
+        assert float(got["oracle_deviation"]) < 1e-8
 
     @pytest.mark.parametrize("argv", [
         "model --length 1000 --eval 0+1e-8i --oracle",
@@ -157,19 +127,9 @@ class TestModelVerb:
         assert done.returncode == 0, done.stderr
         assert float(json.loads(done.stdout)["oracle_deviation"]) < 1e-8
 
-    def test_cold_oracle_just_past_node_budget_is_typed_error(self):
-        # |z + i| * ell = 4.4e4 needs more than MAX_NODES on its first rule
-        done = run_cold("-m", "livcalc.cli", "model", "--length", "1", "--eval",
-                        "44000+1i", "--oracle")
-        assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr.startswith("error: no convergence") and "node budget" in done.stderr
-
-    def test_oracle_past_node_budget_is_typed_error(self, capsys):
-        code, out, err = run_cli(
-            capsys, "model", "--length", "2", "--eval", "10000000+0.1i", "--oracle"
-        )
-        assert (code, out) == (2, "")
-        assert err.startswith("error: no convergence") and "node budget" in err
+    def test_oracle_past_node_budget_is_typed_error(self):
+        check("model --length 2 --eval 10000000+0.1i --oracle", 2,
+              r"^error: no convergence.*node budget")
 
     @pytest.mark.parametrize("ell, z", [
         # |z + i| * ell overflows to inf
@@ -177,65 +137,44 @@ class TestModelVerb:
         # J_+ underflows to 0
         ("5e-324", "1e300+1i"), ("5e-324", "0+1e300i"),
     ])
-    def test_oracle_out_of_reach_names_ell_and_z(self, capsys, ell, z):
-        code, out, err = run_cli(capsys, "model", "--length", ell, "--eval", z, "--oracle")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert f"z = {parse_complex(z)}" in err and f"ell = {float(ell)}" in err
+    def test_oracle_out_of_reach_names_ell_and_z(self, ell, z):
+        check(f"model --length {ell} --eval {z} --oracle", 2,
+              rf"^error: (?=.*z = {re.escape(str(parse_complex(z)))})"
+              rf"(?=.*ell = {re.escape(str(float(ell)))})")
 
 
 class TestCoupleVerb:
-    def test_nunu_check_passes(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "couple", "--kappa1", "0.5", "--kappa2", "0.5",
-            "--grid", "default", "--check", "nunu",
-        )
-        assert code == 0
-        report = json.loads(out)
-        assert report["pass"] is True
-        assert float(report["max_deviation"]) < 1e-10
+    def test_nunu_check_passes(self):
+        got = report("couple --kappa1 0.5 --kappa2 0.5 --grid default --check nunu")
+        assert got["pass"] is True
+        assert float(got["max_deviation"]) < 1e-10
 
-    def test_formula1_check_passes(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "couple", "--kappa1", "0.25", "--kappa2", "0.75",
-            "--check", "formula1",
-        )
-        assert code == 0
-        assert json.loads(out)["pass"] is True
+    def test_formula1_check_passes(self):
+        assert report("couple --kappa1 0.25 --kappa2 0.75 --check formula1")["pass"] is True
 
-    def test_unequal_kappas_pass(self, capsys):
+    def test_unequal_kappas_pass(self):
         # s1 and s2 have lengths 1 and 2, so a swap of them would not pass
-        code, out, _ = run_cli(capsys, "couple", "--kappa1", "0.3", "--kappa2", "0.7")
-        assert code == 0
-        report = json.loads(out)
-        assert report["pass"] is True
-        assert float(report["max_deviation"]) < 1e-10
+        got = report("couple --kappa1 0.3 --kappa2 0.7")
+        assert got["pass"] is True
+        assert float(got["max_deviation"]) < 1e-10
 
-    def test_degenerate_kappa2(self, capsys):
-        code, out, _ = run_cli(capsys, "couple", "--kappa1", "0.5", "--kappa2", "0")
-        assert code == 0
+    def test_degenerate_kappa2(self):
+        check("couple --kappa1 0.5 --kappa2 0", 0)
 
-    def test_out_of_range_kappa_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "couple", "--kappa1", "1.5", "--kappa2", "0.5")
-        assert code == 2
-        assert "error" in err
+    def test_out_of_range_kappa_is_usage_error(self):
+        check("couple --kappa1 1.5 --kappa2 0.5", 2, r"^error: kappa1 = 1.5 outside \[0, 1\)")
 
-    def test_overflowing_second_length_names_length(self, capsys):
+    def test_overflowing_second_length_names_length(self):
         # the second model's length 2 * ell overflows; the user passed 1e308
-        code, out, err = run_cli(
-            capsys, "couple", "--kappa1", "0.5", "--kappa2", "0.5", "--length", "1e308"
-        )
-        assert (code, out) == (2, "")
-        assert err.startswith("error: --length 1e+308") and "2 * ell overflows" in err
+        check("couple --kappa1 0.5 --kappa2 0.5 --length 1e308", 2,
+              r"^error: --length 1e\+308 .*2 \* ell overflows")
 
 
 class TestMultiplyVerb:
-    def test_product_tag(self, capsys):
-        code, out, _ = run_cli(capsys, "multiply", "--kappa1", "0.5", "--kappa2", "0.3")
-        assert code == 0
-        report = json.loads(out)
-        assert abs(float(report["kappa"]["re"]) - 0.15) < 1e-15
-        assert float(report["tag_defect"]) < 1e-12
+    def test_product_tag(self):
+        got = report("multiply --kappa1 0.5 --kappa2 0.3")
+        assert abs(float(got["kappa"]["re"]) - 0.15) < 1e-15
+        assert float(got["tag_defect"]) < 1e-12
 
 
 class TestDiskEdge:
@@ -245,189 +184,132 @@ class TestDiskEdge:
         "couple --kappa1 0.9999999999999999 --kappa2 0.9999999999999999 --check nunu",
         "couple --kappa1 0.9999999999999999 --kappa2 0.5 --check formula1",
     ], ids=["multiply", "couple-nunu", "couple-formula1"])
-    def test_kappa_at_disk_edge_gets_a_value(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv.split())
-        assert (code, err, json.loads(out)["pass"]) == (0, "", True)
+    def test_kappa_at_disk_edge_gets_a_value(self, argv):
+        assert report(argv)["pass"] is True
 
 
 class TestAddVerb:
     @pytest.mark.parametrize("alpha", ["0", "0.7853981633974483", "1.5707963267948966"])
-    def test_normalization_preserved(self, capsys, alpha):
-        code, out, _ = run_cli(capsys, "add", "--alpha", alpha)
-        assert code == 0
-        report = json.loads(out)
-        assert float(report["normalization_defect"]) < 1e-14
-        assert float(report["min_imag_on_grid"]) > 0.0
+    def test_normalization_preserved(self, alpha):
+        got = report(f"add --alpha {alpha}")
+        assert float(got["normalization_defect"]) < 1e-14
+        assert float(got["min_imag_on_grid"]) > 0.0
 
 
 class TestMeasureVerb:
-    def test_normalized_atom(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "measure", "--atoms", "0:1", "--check-normalization"
-        )
-        assert code == 0
-        report = json.loads(out)
-        assert report["defect"] == "0"
-        assert report["M_at_i"] == {"re": "0", "im": "1"}
+    def test_normalized_atom(self):
+        got = report("measure --atoms 0:1 --check-normalization")
+        assert got["defect"] == "0"
+        assert got["M_at_i"] == {"re": "0", "im": "1"}
 
-    def test_unnormalized_atom_fails_check(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "measure", "--atoms", "1:1", "--check-normalization"
-        )
-        assert code == 1
-        assert abs(float(json.loads(out)["defect"]) - 0.5) < 1e-15
+    def test_unnormalized_atom_fails_check(self):
+        got = report("measure --atoms 1:1 --check-normalization", 1)
+        assert abs(float(got["defect"]) - 0.5) < 1e-15
 
-    def test_invert_round_trip(self, capsys):
+    def test_invert_round_trip(self):
         # leading-dash values need the --flag=value form
-        code, out, _ = run_cli(
-            capsys, "measure", "--atoms=1:1,-1:1", "--invert",
-            "--window=-2:2", "--eps", "0.01,0.001,0.0001",
-        )
-        assert code == 0
-        atoms = json.loads(out)["recovered_atoms"]
+        atoms = report("measure --atoms=1:1,-1:1 --invert --window=-2:2 "
+                       "--eps 0.01,0.001,0.0001")["recovered_atoms"]
         assert len(atoms) == 2
         assert abs(float(atoms[0]["weight"]) - 1.0) < 0.02
 
-    def test_measure_file(self, capsys, tmp_path):
+    def test_measure_file(self, tmp_path):
         measure_file = tmp_path / "mu.json"
         measure_file.write_text(
             json.dumps({"atoms": [{"location": 0.0, "weight": 1.0}], "density": None})
         )
-        code, out, _ = run_cli(
-            capsys, "measure", "--measure-file", str(measure_file),
-            "--check-normalization",
-        )
-        assert code == 0
+        check(f"measure --measure-file {measure_file} --check-normalization", 0)
 
     @pytest.mark.parametrize("window", ["-inf:2", "-2:inf", "-1e308:1e308"])
     def test_non_finite_window_is_usage_error(self, window):
-        done = run_cold(
-            "-m", "livcalc.cli", "measure", "--atoms=1:1,-1:1", "--invert", f"--window={window}"
-        )
-        assert (done.returncode, done.stdout) == (2, "")
         # one line naming the window: no traceback, no numpy warning
-        assert done.stderr.startswith("error: window") and "Traceback" not in done.stderr
-        assert len(done.stderr.splitlines()) == 1
+        check(f"measure --atoms=1:1,-1:1 --invert --window={window}", 2, "^error: window")
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flags, exit_code", [((), 0), (("--check-normalization",), 1)])
-    def test_far_atom_warns_nothing(self, capsys, flags, exit_code):
+    def test_far_atom_warns_nothing(self, flags, exit_code):
         # lam^2 overflows beyond |lam| of about 1.3e154; 1/(1 + lam^2) is 0
-        code, out, err = run_cli(capsys, "measure", "--atoms=1e200:1", *flags)
-        assert (code, err) == (exit_code, "")
-        assert json.loads(out)["defect"] == "1"
+        assert report(" ".join(["measure --atoms=1e200:1", *flags]), exit_code)["defect"] == "1"
 
-    @pytest.mark.filterwarnings("error")
-    def test_window_far_beyond_atom_warns_nothing(self, capsys):
+    def test_window_far_beyond_atom_warns_nothing(self):
         # (x - location)^2 overflows at the window's ends; the kernel there is 0
-        code, out, err = run_cli(capsys, "measure", "--atoms=0:1", "--invert",
-                                 "--window=-1e300:1e300")
-        assert (code, err) == (0, "")
-        atoms = json.loads(out)["recovered_atoms"]
+        atoms = report("measure --atoms=0:1 --invert --window=-1e300:1e300")["recovered_atoms"]
         assert [(a["location"], a["weight"]) for a in atoms] == [("0", "1")]
 
-    def test_atoms_and_file_conflict(self, capsys):
-        code, _, _ = run_cli(capsys, "measure")
-        assert code == 2
+    def test_atoms_and_file_conflict(self):
+        check("measure", 2, "one of the arguments --atoms --measure-file is required")
+        check("measure --atoms 0:1 --measure-file mu.json", 2,
+              "argument --measure-file: not allowed with argument --atoms")
 
 
 class TestCheckClassVerb:
-    def test_model_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "check-class", "--length", "1")
-        assert code == 0
-        assert json.loads(out)["verdict"] == "ConsistentWithC"
+    def test_model_passes(self):
+        assert report("check-class --length 1")["verdict"] == "ConsistentWithC"
 
-    def test_cayley_probe_fails_growth(self, capsys):
-        code, out, _ = run_cli(capsys, "check-class", "--probe", "cayley")
-        assert code == 1
-        assert json.loads(out)["verdict"] == "FailsGrowth"
+    def test_cayley_probe_fails_growth(self):
+        assert report("check-class --probe cayley", 1)["verdict"] == "FailsGrowth"
 
-    def test_constant_probe_fails_at_i(self, capsys):
-        code, out, _ = run_cli(capsys, "check-class", "--probe", "const:0.5")
-        assert code == 1
-        assert json.loads(out)["verdict"] == "FailsAtI"
+    def test_constant_probe_fails_at_i(self):
+        assert report("check-class --probe const:0.5", 1)["verdict"] == "FailsAtI"
 
-    def test_malformed_probe_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "check-class", "--probe", "const:zz")
-        assert code == 2
-        assert "error" in err
+    def test_malformed_probe_is_usage_error(self):
+        check("check-class --probe const:zz", 2,
+              "argument --probe: cannot parse complex value 'zz'")
 
-    def test_unknown_probe_is_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys, "check-class", "--probe", "mystery")
-        assert code == 2
+    def test_unknown_probe_is_usage_error(self):
+        check("check-class --probe mystery", 2, "argument --probe: unknown probe 'mystery'")
 
 
 class TestVerifyAll:
-    def test_all_suites_pass(self, capsys):
-        code, out, _ = run_cli(capsys, "verify-all")
-        assert code == 0
-        report = json.loads(out)
-        assert report["all_passed"] is True
-        assert set(report) >= {"core", "moebius", "measure", "extension",
-                               "coupling", "model"}
+    def test_all_suites_pass(self):
+        got = report("verify-all")
+        assert got["all_passed"] is True
+        assert set(got) >= {"core", "moebius", "measure", "extension", "coupling", "model"}
 
 
 class TestDeterminism:
-    def test_byte_identical_json(self, capsys):
-        _, first, _ = run_cli(capsys, "model", "--length", "1", "--eval", "0+2i")
-        _, second, _ = run_cli(capsys, "model", "--length", "1", "--eval", "0+2i")
-        assert first == second
+    def test_byte_identical_json(self):
+        assert run(["model", "--length", "1", "--eval", "0+2i"]) == run(
+            ["model", "--length", "1", "--eval", "0+2i"])
 
-    def test_byte_identical_csv(self, capsys):
+    def test_byte_identical_csv(self):
         argv = ("model", "--length", "0.5", "--grid", "default", "--format", "csv")
-        _, first, _ = run_cli(capsys, *argv)
-        _, second, _ = run_cli(capsys, *argv)
-        assert first == second
+        assert run(argv) == run(argv)
 
 
 class TestUsageErrors:
-    def test_unknown_flag(self, capsys):
-        code, _, _ = run_cli(capsys, "model", "--length", "1", "--bogus", "1")
-        assert code == 2
+    def test_unknown_flag(self):
+        check("model --length 1 --eval 0+2i --bogus 1", 2, "unrecognized arguments: --bogus 1")
 
-    def test_unknown_verb(self, capsys):
-        code, _, _ = run_cli(capsys, "frobnicate")
-        assert code == 2
+    def test_unknown_verb(self):
+        check("frobnicate", 2, "invalid choice: 'frobnicate'")
 
-    def test_missing_required(self, capsys):
-        code, _, _ = run_cli(capsys, "couple", "--kappa1", "0.5")
-        assert code == 2
+    def test_missing_required(self):
+        check("couple --kappa1 0.5", 2, "the following arguments are required: --kappa2")
 
     @pytest.mark.parametrize("argv", [
         "couple --kappa1 0.5 --kappa2 0.5", "multiply --kappa1 0.5 --kappa2 0.3", "add --alpha 0",
         "measure --atoms 0:1", "check-class --length 1", "verify-all",
     ])
-    def test_format_is_a_model_flag(self, capsys, argv):
-        code, out, _ = run_cli(capsys, *argv.split(), "--format", "csv")
-        assert code == 2
-        assert out == ""
+    def test_format_is_a_model_flag(self, argv):
+        check(f"{argv} --format csv", 2, "unrecognized arguments: --format csv")
 
-    def test_csv_needs_a_grid(self, capsys):
-        code, out, err = run_cli(
-            capsys, "model", "--length", "1", "--eval", "0+2i", "--format", "csv"
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:")
+    def test_csv_needs_a_grid(self):
+        check("model --length 1 --eval 0+2i --format csv", 2, "^error: --format csv applies to")
 
     @pytest.mark.parametrize("argv", [
         "add --alpha -1e-3", "model --length 1 --eval -1+2i",
         "measure --atoms -1:1,1:1 --window -2:2 --invert",
     ], ids=["exponent", "complex", "pair"])
-    def test_value_with_leading_minus_is_a_value(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv.split())
-        assert (code, err) == (0, "")
-        assert json.loads(out)
+    def test_value_with_leading_minus_is_a_value(self, argv):
+        assert report(argv)
 
     @pytest.mark.parametrize("argv,name", [
         ("model --length -1e-3 --eval 0+1i", "interval length"),
         ("couple --kappa1 -1e-3 --kappa2 0.5", "kappa1"),
     ], ids=["model", "couple"])
-    def test_negative_exponent_value_reaches_range_check(self, capsys, argv, name):
+    def test_negative_exponent_value_reaches_range_check(self, argv, name):
         # not argparse's "expected one argument": the program's own range error
-        code, out, err = run_cli(capsys, *argv.split())
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: {name}") and "-0.001" in err
+        check(argv, 2, f"^error: {name}.*-0\\.001")
 
     @pytest.mark.parametrize("argv,content,entry", [
         ("model --length 1 --grid file:{}", {}, "'points'"),
@@ -435,29 +317,21 @@ class TestUsageErrors:
         ("couple --kappa1 0.5 --kappa2 0.5 --grid file:{}", {}, "'points'"),
         ("measure --measure-file {}", {"atoms": [{"location": 0}]}, "'weight'"),
     ], ids=["grid-no-points", "grid-bad-point", "couple-grid-no-points", "atom-no-weight"])
-    def test_malformed_input_file(self, capsys, tmp_path, argv, content, entry):
+    def test_malformed_input_file(self, tmp_path, argv, content, entry):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(content))
-        code, out, err = run_cli(capsys, *argv.format(path).split())
-        assert (code, out) == (2, "")
-        assert err.startswith("error:") and entry in err and "Traceback" not in err
+        check(argv.format(path), 2, f"^error: {re.escape(str(path))}: .*{entry}")
 
-    @pytest.mark.parametrize("argv,name", [
-        ("model --length inf --eval 0+1i", "interval length"),
-        ("model --length inf --grid default", "interval length"),
-        ("couple --kappa1 0.5 --kappa2 0.5 --length inf", "interval length"),
-        ("check-class --length inf", "interval length"),
-        ("add --alpha inf", "alpha"),
-        ("add --alpha=-inf", "alpha"),
-        ("add --alpha nan", "alpha"),
+    @pytest.mark.parametrize("argv", [
+        "model --length inf --eval 0+1i", "model --length inf --grid default",
+        "couple --kappa1 0.5 --kappa2 0.5 --length inf", "check-class --length inf",
+        "add --alpha inf", "add --alpha=-inf", "add --alpha nan",
     ], ids=["model-eval", "model-grid", "couple", "check-class", "add-inf", "add-minus-inf",
             "add-nan"])
-    def test_non_finite_parameter_is_usage_error(self, argv, name):
-        done = run_cold("-m", "livcalc.cli", *argv.split())
-        assert (done.returncode, done.stdout) == (2, "")
+    def test_non_finite_parameter_is_usage_error(self, argv):
         # one line naming the parameter, not a pole or a math domain error
-        assert done.stderr.startswith(f"error: {name} must be finite")
-        assert len(done.stderr.splitlines()) == 1 and "Traceback" not in done.stderr
+        name = "alpha" if argv.startswith("add") else "interval length"
+        check(argv, 2, f"^error: {name} must be finite")
 
 
 #: Prints the sorted names of the loaded modules that livcalc's runtime must
