@@ -12,6 +12,7 @@ digits, so identical argv yields byte-identical output.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
@@ -49,15 +50,16 @@ _COMPLEX_RE = re.compile(
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a+bi' / 'a-bi' (real part mandatory, e.g. '0+2i', '1.5')."""
+    """Parse 'a+bi' / 'a-bi' with finite parts (real part mandatory, e.g. '0+2i')."""
     match = _COMPLEX_RE.match(text.strip())
     if not match:
         raise argparse.ArgumentTypeError(
             f"cannot parse complex value {text!r}; expected a+bi with mandatory real part"
         )
-    re_part = float(match.group(1))
-    im_part = float(match.group(2)) if match.group(2) else 0.0
-    return complex(re_part, im_part)
+    value = complex(float(match.group(1)), float(match.group(2) or 0.0))
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"complex value {text!r} overflows a double")
+    return value
 
 
 def parse_atoms(text: str):
@@ -225,6 +227,8 @@ def cmd_model(args) -> int:
             report["s_oracle"] = complex_to_json(s_quad)
             report["oracle_deviation"] = fmt_float(abs(s_quad - forms.livsic(z)))
     else:
+        if args.oracle:
+            raise UsageError("--oracle applies to --eval")
         grid = load_grid(args.grid)
         values = evaluate_on_grid(forms.livsic, grid)
         if args.format == "csv":

@@ -58,10 +58,14 @@ class Record:
     """An immutable value whose fields are the names in its class's
     ``__slots__``: repr, equality (between instances of one class) and hash
     follow the fields in order, and no code is generated at import.
-    Subclasses set their fields in ``__init__`` through
-    ``object.__setattr__``."""
+    ``__init__`` takes the values in slot order and is the only writer of
+    fields: a subclass validates its arguments, then calls it once."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -89,8 +93,7 @@ class Record:
         return self._astuple()
 
     def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
+        Record.__init__(self, *state)
 
 
 class AnalyticFn(Record):
@@ -111,9 +114,7 @@ class AnalyticFn(Record):
 
     def __init__(self, evaluator: Callable[[np.ndarray], np.ndarray],
                  kind: FnKind = FnKind.GENERIC, label: str = ""):
-        object.__setattr__(self, "evaluator", evaluator)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "label", label)
+        super().__init__(evaluator, kind, label)
 
     def __call__(self, z):
         """The value at a point, as a ``complex``, or the values over an
@@ -177,8 +178,7 @@ class EvaluationGrid(Record):
         if (ordered[1:] == ordered[:-1]).any():
             raise OutOfRange("grid points must be pairwise distinct")
         pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "description", description)
+        super().__init__(pts, description)
 
     def __len__(self) -> int:
         return self.points.size

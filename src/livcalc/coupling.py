@@ -43,8 +43,7 @@ class CouplingAngles(Record):
         for name, angle in (("alpha", alpha), ("beta", beta)):
             if not (0.0 <= angle <= _HALF_PI):
                 raise OutOfRange(f"{name} = {angle} outside [0, pi/2]")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        super().__init__(alpha, beta)
 
     def trig(self):
         """(cos a cos b, sin a sin b), the two coefficients of the coupling."""
@@ -171,9 +170,7 @@ class TaggedCharacteristic(Record):
         defect = abs(fn(1j) - kappa)
         if defect >= IDENTITY_TOL:
             raise OutOfRange(f"tag kappa = {kappa} disagrees with fn(i) by {defect:.3g}")
-        object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "tag_defect", defect)
+        super().__init__(fn, kappa, defect)
 
 
 def multiply_characteristic(

@@ -44,9 +44,7 @@ class SampledDensity(Record):
             raise OutOfRange("density needs an odd sample count >= 3")
         if not np.all(np.isfinite(vals) & (vals >= 0.0)):
             raise OutOfRange("density samples must be finite and nonnegative")
-        object.__setattr__(self, "x_lo", x_lo)
-        object.__setattr__(self, "x_hi", x_hi)
-        object.__setattr__(self, "values", tuple(vals.tolist()))
+        super().__init__(x_lo, x_hi, tuple(vals.tolist()))
 
     @property
     def h(self) -> float:
@@ -77,8 +75,7 @@ class BorelMeasureModel(Record):
             raise OutOfRange("atom weights must be strictly positive and finite")
         if any(not math.isfinite(loc) for loc, _ in atoms):
             raise OutOfRange("atom locations must be finite")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "density", density)
+        super().__init__(atoms, density)
         if not math.isfinite(self.normalization_integral()):
             raise OutOfRange("normalization integral must be finite")
 

@@ -10,7 +10,7 @@ closed forms here."""
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,15 +64,10 @@ def model_closed_forms(ell: float) -> ModelFunctions:
 
 
 class DeficiencyElement(Record):
-    """An explicit defect element of the interval model, evaluatable on
-    [0, ell]."""
+    """An explicit defect element of the interval model: a ``length``, an
+    ``evaluator`` from [0, length] to the complex numbers, and a ``label``."""
 
     __slots__ = ("length", "evaluator", "label")
-
-    def __init__(self, length: float, evaluator: Callable[[float], complex], label: str):
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "evaluator", evaluator)
-        object.__setattr__(self, "label", label)
 
     def __call__(self, x: float) -> complex:
         if not (0.0 <= x <= self.length):

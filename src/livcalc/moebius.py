@@ -43,8 +43,7 @@ class MoebiusMap(Record):
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: complex, b: complex, c: complex, d: complex):
-        for name, value in zip(self.__slots__, (a, b, c, d)):
-            object.__setattr__(self, name, complex(value))
+        super().__init__(complex(a), complex(b), complex(c), complex(d))
         if self.a * self.d == self.b * self.c:
             raise DegenerateMap(f"determinant of {self!r} is zero")
 

@@ -136,9 +136,13 @@ def test_every_argv_keeps_the_rule(axis):
     ("multiply --kappa1 1 --kappa2 0.5", 2, r"^error: .*needs \|kappa\| < 1, got \|\(1\+0j\)\|"),
     # a pole inside a sweep is a row of NaN, not an error
     ("model --length 5e-324 --grid default --format csv", 0, "\n0,1,nan,nan\n"),
+    # the oracle verifies one point; a sweep would silently drop it
+    ("model --length 1 --grid default --oracle --format csv", 2,
+     r"^error: --oracle applies to --eval"),
+    ("check-class --probe const:1e400", 2, r"--probe: complex value '1e400' overflows"),
 ], ids=["oracle-just-past-node-budget", "grid-spec", "check-class-source-conflict",
         "check-class-needs-a-source", "duplicate-atoms", "one-eps", "kappa-at-one",
-        "kappa-on-circle", "pole-in-a-sweep"])
+        "kappa-on-circle", "pole-in-a-sweep", "oracle-on-a-grid", "overflowing-literal"])
 def test_row(argv, code, pattern):
     check(argv, code, pattern)
 

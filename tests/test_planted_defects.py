@@ -17,6 +17,7 @@ from livcalc.coupling import CouplingAngles, TaggedCharacteristic
 closed_forms, normalizer = model_mod.model_closed_forms, model_mod._normalizer
 angles, trig = coupling.coupling_angles, CouplingAngles.trig
 moebius_values, panel_rule = MoebiusMap.values, oracle._panel_rule
+automorphism = MoebiusMap.disk_automorphism
 herglotz_eval, rotate = _kernels.herglotz_eval, verify.reference_change_livsic
 multiply, corpus = coupling.multiply_characteristic, verify.bundled_corpus
 minimize = measure.minimize_scalar
@@ -29,9 +30,12 @@ def fails(bounds, *checks):
     return dict.fromkeys(checks, bounds)
 
 
-def scaled_rule(ell, m):
-    nodes, weights = panel_rule(ell, m)
-    return nodes, weights * [1.0, 1.0, 1.001, 1.001]
+def plus_columns_times(factor):
+    # the weights of J_+, the integral against e^{ell (t - 1)}, times factor
+    def rule(ell, m):
+        nodes, weights = panel_rule(ell, m)
+        return nodes, weights * [1.0, 1.0, factor, factor]
+    return rule
 
 
 def nan_at_first_point(self, w):
@@ -52,6 +56,12 @@ def g_plus_without_decay(ell):
     # e^x for e^{x - ell}: g_+ grows by e^ell and loses its unit norm
     c = normalizer(ell)
     return model_mod.DeficiencyElement(ell, lambda x: c * math.exp(x), f"g_plus[ell={ell}]")
+
+
+def nudged_automorphism(cls, kappa):
+    # d = -(1 + 1e-11): the map is no longer an involution of the disk
+    m = automorphism(kappa)
+    return cls(m.a, m.b, m.c, m.d * (1 + 1e-11))
 
 
 def nudged_rotation(cls, alpha):
@@ -94,8 +104,11 @@ ROWS = [
     ("wrong-rotation-phase", [(verify, "reference_change_livsic", lambda s, a: rotate(s, a / 2))],
      fails((1e-12, 2.0), "extension/reference-change-laws")),
     # the plus columns' weights 0.1% high: s_oracle is 0.1% low everywhere
-    ("wrong-oracle-weight", [(oracle, "_panel_rule", scaled_rule)],
+    ("wrong-oracle-weight", [(oracle, "_panel_rule", plus_columns_times(1.001))],
      fails((1e-8, 1.0), "model/oracle-vs-closed-form")),
+    # J_+ off by 5e-9 relative: inside QUADRATURE_TOL, far outside the battery's 1e-13
+    ("oracle-off-by-5e-9", [(oracle, "_panel_rule", plus_columns_times(1 / (1 + 5e-9)))],
+     fails((1e-10, 1e-8), "model/oracle-vs-closed-form")),
     # (w - kappa)/(kappa w - 1) sends 0 to kappa, but leaves the disk for complex kappa
     ("automorphism-without-conjugate", [(MoebiusMap, "disk_automorphism", classmethod(
         lambda cls, kappa: cls(1.0, -kappa, kappa, -1.0)))],
@@ -139,6 +152,12 @@ ROWS = [
     ("add-weyl-without-squares", [(coupling, "convex_sum", lambda alpha, v1, v2:
         math.cos(alpha) * v1 + math.sin(alpha) * v2)],
      fails((0.3, 0.5), "coupling/addition-normalization", "coupling/class-properties(i-iv)")),
+    # a finite defect: each check reads a number, not a NaN or an exception
+    ("disk-automorphism-d-nudged",
+     [(MoebiusMap, "disk_automorphism", classmethod(nudged_automorphism))],
+     fails((1e-10, 1e-9), "moebius/disk-automorphism-involution",
+           "extension/involution-and-kappa-extraction")
+     | fails((1e-12, 1e-11), "coupling/kappa-multiplicativity")),
     ("rotation-d-nudged", [(MoebiusMap, "halfplane_rotation", classmethod(nudged_rotation))],
      fails((5e-8, 5e-7), "moebius/rotation-fixes-i", "extension/reference-change-laws")),
     # K(z) = (z - i)/(z + i/2) still vanishes at i, but |K| nears 2 at the

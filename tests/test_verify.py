@@ -35,7 +35,7 @@ PINNED = (
     ("coupling", "class-preservation-at-i", 1e-14),
     ("coupling", "class-properties(i-iv)", 1e-10),
     ("model", "defect-element-norms", 1e-10),
-    ("model", "oracle-vs-closed-form", 1e-8),
+    ("model", "oracle-vs-closed-form", 1e-13),
     ("model", "boundary-relations", 1e-12),
     ("model", "interval-split", 1e-14),
 )
