@@ -24,12 +24,12 @@ from . import verify as verify_mod
 from .core import (
     IDENTITY_TOL,
     EvaluationGrid,
-    complex_to_json,
     constant_fn,
     default_grid,
     evaluate_on_grid,
     fmt_float,
     grid_from_json,
+    to_json,
 )
 from .coupling import TaggedCharacteristic, add_weyl, convexity_defects, multiply_characteristic
 from .errors import LivcalcError, OutOfRange, PoleEncountered, UsageError
@@ -50,7 +50,9 @@ _COMPLEX_RE = re.compile(
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a+bi' / 'a-bi' with finite parts (real part mandatory, e.g. '0+2i')."""
+    """Parse 'a+bi' / 'a-bi' with finite parts (real part mandatory, e.g. '0+2i').
+    A part that overflows a double, or is nonzero but rounds to 0, is
+    rejected."""
     match = _COMPLEX_RE.match(text.strip())
     if not match:
         raise argparse.ArgumentTypeError(
@@ -59,6 +61,10 @@ def parse_complex(text: str) -> complex:
     value = complex(float(match.group(1)), float(match.group(2) or 0.0))
     if not cmath.isfinite(value):
         raise argparse.ArgumentTypeError(f"complex value {text!r} overflows a double")
+    # a nonzero digit before the exponent marks a nonzero literal
+    if any(float(part) == 0.0 and re.search("[1-9]", re.split("[eE]", part)[0])
+           for part in match.groups("0")):
+        raise argparse.ArgumentTypeError(f"complex value {text!r} underflows a double to 0")
     return value
 
 
@@ -128,8 +134,8 @@ def load_grid(spec: str) -> EvaluationGrid:
     raise UsageError(f"grid must be 'default' or 'file:<path>', got {spec!r}")
 
 
-def emit_json(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+def emit_json(report) -> None:
+    sys.stdout.write(json.dumps(to_json(report), indent=2, sort_keys=True) + "\n")
 
 
 def emit_grid_csv(grid: EvaluationGrid, values) -> None:
@@ -215,17 +221,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_model(args) -> int:
     forms = model_closed_forms(args.length)
-    report = {"ell": fmt_float(args.length), "kappa": fmt_float(forms.kappa)}
+    report = {"ell": args.length, "kappa": forms.kappa}
     if args.eval is not None:
         if args.format == "csv":
             raise UsageError("--format csv applies to --grid sweeps; --eval prints JSON")
         z = args.eval
-        report["s"] = complex_to_json(forms.livsic(z))
-        report["S"] = complex_to_json(forms.characteristic(z))
+        report["s"] = forms.livsic(z)
+        report["S"] = forms.characteristic(z)
         if args.oracle:
             s_quad = model_livsic_quadrature(args.length, z)
-            report["s_oracle"] = complex_to_json(s_quad)
-            report["oracle_deviation"] = fmt_float(abs(s_quad - forms.livsic(z)))
+            report["s_oracle"] = s_quad
+            report["oracle_deviation"] = abs(s_quad - forms.livsic(z))
     else:
         if args.oracle:
             raise UsageError("--oracle applies to --eval")
@@ -235,8 +241,7 @@ def cmd_model(args) -> int:
             emit_grid_csv(grid, values)
             return 0
         report["values"] = [
-            {"z": complex_to_json(z),
-             "s": None if isinstance(v, PoleEncountered) else complex_to_json(v)}
+            {"z": z, "s": None if isinstance(v, PoleEncountered) else v}
             for z, v in zip(grid, values)
         ]
     emit_json(report)
@@ -263,16 +268,8 @@ def cmd_couple(args) -> int:
         sweep = [pair + (k,) for k in _FORMULA1_KS]
         deviation = verify_mod.general_k_defect(s1, s2, sweep, grid)
     passed = deviation < IDENTITY_TOL
-    emit_json(
-        {
-            "check": args.check,
-            "kappa1": fmt_float(args.kappa1),
-            "kappa2": fmt_float(args.kappa2),
-            "max_deviation": fmt_float(deviation),
-            "tolerance": fmt_float(IDENTITY_TOL),
-            "pass": passed,
-        }
-    )
+    emit_json({"check": args.check, "kappa1": args.kappa1, "kappa2": args.kappa2,
+               "max_deviation": deviation, "tolerance": IDENTITY_TOL, "pass": passed})
     return 0 if passed else 1
 
 
@@ -282,14 +279,8 @@ def cmd_multiply(args) -> int:
     t2 = TaggedCharacteristic(characteristic_from_livsic(s, args.kappa2), args.kappa2)
     product = multiply_characteristic(t1, t2)
     passed = product.tag_defect < 1e-12
-    emit_json(
-        {
-            "kappa": complex_to_json(product.kappa),
-            "tag_defect": fmt_float(product.tag_defect),
-            "tolerance": fmt_float(1e-12),
-            "pass": passed,
-        }
-    )
+    emit_json({"kappa": product.kappa, "tag_defect": product.tag_defect,
+               "tolerance": 1e-12, "pass": passed})
     return 0 if passed else 1
 
 
@@ -298,15 +289,8 @@ def cmd_add(args) -> int:
     M1, M2 = (realize_herglotz(mu) for mu in verify_mod.reference_measures())
     defect, below = convexity_defects(M1, M2, (args.alpha,), grid)
     passed = defect < 1e-14 and below < 0.0
-    emit_json(
-        {
-            "alpha": fmt_float(args.alpha),
-            "M_at_i": complex_to_json(add_weyl(M1, M2, args.alpha)(1j)),
-            "normalization_defect": fmt_float(defect),
-            "min_imag_on_grid": fmt_float(-below),
-            "pass": passed,
-        }
-    )
+    emit_json({"alpha": args.alpha, "M_at_i": add_weyl(M1, M2, args.alpha)(1j),
+               "normalization_defect": defect, "min_imag_on_grid": -below, "pass": passed})
     return 0 if passed else 1
 
 
@@ -315,24 +299,14 @@ def cmd_measure(args) -> int:
           else read_json(args.measure_file, BorelMeasureModel.from_json))
     M = realize_herglotz(mu)
     defect = normalization_defect(mu)
-    report = {
-        "defect": fmt_float(defect),
-        "M_at_i": complex_to_json(M(1j)),
-    }
+    report = {"defect": defect, "M_at_i": M(1j)}
     exit_code = 0
     if args.check_normalization and defect >= 1e-14:
         exit_code = 1
     if args.invert:
         result = stieltjes_invert(M, args.window, args.eps)
-        report["recovered_atoms"] = [
-            {
-                "location": fmt_float(a.location),
-                "weight": fmt_float(a.weight),
-                "residual": fmt_float(a.residual),
-            }
-            for a in result.atoms
-        ]
-        report["scan_spacing"] = fmt_float(result.scan_spacing)
+        report["recovered_atoms"] = result.atoms
+        report["scan_spacing"] = result.scan_spacing
     emit_json(report)
     return exit_code
 
@@ -340,19 +314,14 @@ def cmd_measure(args) -> int:
 def cmd_check_class(args) -> int:
     fn = args.probe if args.length is None else model_closed_forms(args.length).livsic
     report = class_C_check(fn)
-    emit_json(report.to_json())
+    emit_json(report)
     return 0 if report.verdict is ClassVerdict.CONSISTENT_WITH_C else 1
 
 
 def cmd_verify_all(args) -> int:
     results = verify_mod.run_all()
-    report = {
-        suite: [check.to_json() for check in checks]
-        for suite, checks in results.items()
-    }
     all_passed = all(c.passed for checks in results.values() for c in checks)
-    report["all_passed"] = all_passed
-    emit_json(report)
+    emit_json({**results, "all_passed": all_passed})
     return 0 if all_passed else 1
 
 

@@ -152,12 +152,12 @@ def _pole_message(f: AnalyticFn, z) -> str:
     return f"{f.label or 'function'}: pole at {complex(z)}"
 
 
-def divide_off_pole(num, den, floor):
-    """``num / den``, with NaN wherever |den| < ``floor``: for the coupling
+def divide_off_pole(num, den):
+    """``num / den``, with NaN wherever |den| < 1e-14: for the coupling
     formulas, where a 0/0 at a tiny |den| can leave a finite quotient that the
     pole guard of :meth:`AnalyticFn.__call__` would not see."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.abs(den) < floor, np.nan, num / den)
+        return np.where(np.abs(den) < 1e-14, np.nan, num / den)
 
 
 class EvaluationGrid(Record):
@@ -274,8 +274,10 @@ def constant_fn(value: complex, kind: FnKind = FnKind.GENERIC,
 
 # --- JSON serialization -----------------------------------------------------
 #
-# Complex values travel as {re, im} pairs of decimal strings at 17 significant
-# digits, which round-trips IEEE doubles bit-exactly.
+# :func:`to_json` is the one place that decides how a value prints: every
+# report is built from raw values and rendered by it.  Floats travel as
+# decimal strings at 17 significant digits, which round-trips IEEE doubles
+# bit-exactly, and complex values as {re, im} pairs of such strings.
 
 def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
@@ -284,6 +286,28 @@ def fmt_float(x: float) -> str:
 def complex_to_json(z: complex) -> dict:
     z = complex(z)
     return {"re": fmt_float(z.real), "im": fmt_float(z.imag)}
+
+
+def to_json(value):
+    """The JSON form of a report value: a float as :func:`fmt_float`, a
+    complex as :func:`complex_to_json`, an enum member as its value, a Record
+    as the dict of its slots, a dict, tuple or list item by item; a bool, a
+    str or None as it is.  Any other type raises TypeError."""
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, float):
+        return fmt_float(value)
+    if isinstance(value, complex):
+        return complex_to_json(value)
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, Record):
+        return {name: to_json(getattr(value, name)) for name in value.__slots__}
+    if isinstance(value, dict):
+        return {key: to_json(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [to_json(item) for item in value]
+    raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
 def json_number(obj, key, where: str) -> float:

@@ -87,7 +87,7 @@ def couple_livsic(s1: AnalyticFn, s2: AnalyticFn, angles: CouplingAngles) -> Ana
 
     def evaluator(zs):
         v1, v2 = s1.evaluator(zs), s2.evaluator(zs)
-        return divide_off_pole(cc * v1 - v1 * v2 + ss * v2, 1.0 - (ss * v1 + cc * v2), 1e-14)
+        return divide_off_pole(cc * v1 - v1 * v2 + ss * v2, 1.0 - (ss * v1 + cc * v2))
 
     return AnalyticFn(
         evaluator=evaluator,
@@ -124,7 +124,7 @@ def general_k_identity_defect(
     def rhs(zs):
         v1, v2 = s1.evaluator(zs), s2.evaluator(zs)
         return divide_off_pole(a1 * v1 + a2 * v2 - v1 * v2 - k,
-                               a2 * v1 + a1 * v2 - k * v1 * v2 - 1.0, 1e-14)
+                               a2 * v1 + a1 * v2 - k * v1 * v2 - 1.0)
 
     return sup_deviation(lhs, AnalyticFn(rhs, FnKind.GENERIC, f"general-k right[k={k}]"), grid)
 

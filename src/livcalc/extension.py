@@ -8,11 +8,11 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from typing import List, NamedTuple
+from typing import List
 
 import numpy as np
 
-from .core import IDENTITY_TOL, AnalyticFn, FnKind, complex_to_json, fmt_float
+from .core import IDENTITY_TOL, AnalyticFn, FnKind, Record
 from .errors import NotContractive, OutOfRange
 from .moebius import MoebiusMap, ensure_kappa
 
@@ -78,38 +78,21 @@ class ClassVerdict(enum.Enum):
     FAILS_GROWTH = "FailsGrowth"
 
 
-class RayDiagnostic(NamedTuple):
-    alpha: float
-    theta: float
-    radii: tuple
-    magnitudes: tuple
-    passed: bool
+class RayDiagnostic(Record):
+    """One probe ray of :func:`class_C_check`: the boundary phase angle
+    ``alpha``, the ray angle ``theta``, the probe ``radii``, the
+    ``magnitudes`` |z (s(z) - exp(2 i alpha))| there, and whether the ray
+    ``passed``."""
+
+    __slots__ = ("alpha", "theta", "radii", "magnitudes", "passed")
 
 
-class ClassMembershipReport(NamedTuple):
-    value_at_i: complex
-    vanishes_at_i: bool
-    ray_growth_passed: bool
-    ray_details: tuple
-    verdict: ClassVerdict
+class ClassMembershipReport(Record):
+    """The result of :func:`class_C_check`: ``value_at_i`` = s(i), whether
+    it ``vanishes_at_i``, whether every ray passed (``ray_growth_passed``),
+    the per-ray ``ray_details`` and the ``verdict``."""
 
-    def to_json(self) -> dict:
-        return {
-            "value_at_i": complex_to_json(self.value_at_i),
-            "vanishes_at_i": self.vanishes_at_i,
-            "ray_growth_passed": self.ray_growth_passed,
-            "verdict": self.verdict.value,
-            "ray_details": [
-                {
-                    "alpha": fmt_float(d.alpha),
-                    "theta": fmt_float(d.theta),
-                    "radii": [fmt_float(r) for r in d.radii],
-                    "magnitudes": [fmt_float(m) for m in d.magnitudes],
-                    "passed": d.passed,
-                }
-                for d in self.ray_details
-            ],
-        }
+    __slots__ = ("value_at_i", "vanishes_at_i", "ray_growth_passed", "ray_details", "verdict")
 
 
 #: Probe schedule for the growth condition: sector angles, radii, and the

@@ -17,7 +17,7 @@ TestModelWeylMeasure).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -161,10 +161,11 @@ def livsic_from_weyl(M: AnalyticFn) -> AnalyticFn:
 # --- Stieltjes inversion ------------------------------------------------
 
 
-class BoundedMinimum(NamedTuple):
-    x: float
-    #: evaluations of ``func`` made
-    nfev: int
+class BoundedMinimum(Record):
+    """The point ``x`` that :func:`minimize_scalar` returns and the number
+    ``nfev`` of evaluations of ``func`` it made."""
+
+    __slots__ = ("x", "nfev")
 
 
 def minimize_scalar(func, bounds, xatol: float) -> BoundedMinimum:
@@ -210,19 +211,19 @@ def minimize_scalar(func, bounds, xatol: float) -> BoundedMinimum:
     return BoundedMinimum(float(x), nfev)
 
 
-class RecoveredAtom(NamedTuple):
-    location: float
-    weight: float
-    #: |extrapolated weight - weight at the smallest epsilon|
-    residual: float
+class RecoveredAtom(Record):
+    """A point mass found by Stieltjes inversion: its ``location``, its
+    ``weight`` and the ``residual`` |extrapolated weight - weight at the
+    smallest epsilon|."""
+
+    __slots__ = ("location", "weight", "residual")
 
 
-class InversionResult(NamedTuple):
-    """Estimated measure recovered from boundary values of Im M."""
+class InversionResult(Record):
+    """Estimated measure recovered from boundary values of Im M: the tuple of
+    recovered ``atoms``, the remaining ``density`` and the ``scan_spacing``."""
 
-    atoms: tuple
-    density: SampledDensity
-    scan_spacing: float
+    __slots__ = ("atoms", "density", "scan_spacing")
 
 
 def _extrapolate_to_zero(eps: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ closed forms here."""
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -19,10 +18,12 @@ from .core import AnalyticFn, EvaluationGrid, FnKind, Record, require_length, su
 from .errors import OutOfRange
 
 
-class ModelFunctions(NamedTuple):
-    livsic: AnalyticFn
-    characteristic: AnalyticFn
-    kappa: float
+class ModelFunctions(Record):
+    """The closed forms of one interval model: its contractive function
+    ``livsic``, its characteristic function ``characteristic`` and its
+    extension parameter ``kappa``."""
+
+    __slots__ = ("livsic", "characteristic", "kappa")
 
 
 def model_closed_forms(ell: float) -> ModelFunctions:

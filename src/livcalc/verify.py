@@ -29,7 +29,7 @@ from . import model as model_mod
 from . import oracle as oracle_mod
 from .core import (
     IDENTITY_TOL, INVERSION_REL_TOL, AnalyticFn, EvaluationGrid, FnKind, Record,
-    constant_fn, default_grid, fmt_float, max_modulus, min_imag, sup_deviation, worst_of,
+    constant_fn, default_grid, max_modulus, min_imag, sup_deviation, worst_of,
 )
 from .coupling import (
     CouplingAngles, TaggedCharacteristic, convexity_defects, couple_livsic, coupling_angles,
@@ -47,19 +47,10 @@ from .moebius import MoebiusMap
 
 
 class CheckResult(Record):
-    __slots__ = ("name", "worst", "tol")
+    """The verdict of one named check: its ``worst_deviation`` against its
+    ``tolerance``, and whether it ``passed``."""
 
-    @property
-    def passed(self) -> bool:
-        return bool(self.worst < self.tol)
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "worst_deviation": fmt_float(self.worst),
-            "tolerance": fmt_float(self.tol),
-            "passed": self.passed,
-        }
+    __slots__ = ("name", "worst_deviation", "tolerance", "passed")
 
 
 def run_checks(checks: Iterable[Tuple[str, float, Callable[[], float]]]) -> List[CheckResult]:
@@ -74,7 +65,8 @@ def run_checks(checks: Iterable[Tuple[str, float, Callable[[], float]]]) -> List
             worst = compute()
         except Exception:
             worst = math.inf
-        results.append(CheckResult(name, float(worst), float(tol)))
+        worst, tol = float(worst), float(tol)
+        results.append(CheckResult(name, worst, tol, worst < tol))
     return results
 
 

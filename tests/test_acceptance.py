@@ -96,7 +96,7 @@ def test_criterion_5_model_oracle():
         for ell in ells
     )
     elapsed = time.monotonic() - start
-    ok = report(5, "interval-model-oracle", worst_quad, 1e-8,
+    ok = report(5, "interval-model-oracle", worst_quad, 1e-13,
                 extra=f"boundary {worst_boundary:.3g} < 1e-12, "
                 f"kappa {worst_kappa:.3g} < 1e-12, runtime {elapsed:.2f} s")
     assert ok

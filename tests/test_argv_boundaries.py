@@ -140,9 +140,15 @@ def test_every_argv_keeps_the_rule(axis):
     ("model --length 1 --grid default --oracle --format csv", 2,
      r"^error: --oracle applies to --eval"),
     ("check-class --probe const:1e400", 2, r"--probe: complex value '1e400' overflows"),
+    # a nonzero literal that rounds to 0 is named as typed, not as the point 0
+    ("model --length 1 --eval 0+1e-400i", 2,
+     r"--eval: complex value '0\+1e-400i' underflows a double to 0"),
+    ("model --length 1 --eval 1e-400+1i", 2,
+     r"--eval: complex value '1e-400\+1i' underflows a double to 0"),
 ], ids=["oracle-just-past-node-budget", "grid-spec", "check-class-source-conflict",
         "check-class-needs-a-source", "duplicate-atoms", "one-eps", "kappa-at-one",
-        "kappa-on-circle", "pole-in-a-sweep", "oracle-on-a-grid", "overflowing-literal"])
+        "kappa-on-circle", "pole-in-a-sweep", "oracle-on-a-grid", "overflowing-literal",
+        "underflowing-imaginary-part", "underflowing-real-part"])
 def test_row(argv, code, pattern):
     check(argv, code, pattern)
 

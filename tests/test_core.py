@@ -37,10 +37,11 @@ from livcalc import (
     sup_deviation,
 )
 from livcalc.core import (
-    OVERFLOW_GUARD, complex_from_json, complex_to_json, grid_from_json, worst_of,
+    OVERFLOW_GUARD, complex_from_json, complex_to_json, grid_from_json, to_json, worst_of,
 )
 from livcalc.coupling import CouplingAngles
-from livcalc.extension import cayley_probe
+from livcalc.extension import ClassMembershipReport, ClassVerdict, RayDiagnostic, cayley_probe
+from livcalc.measure import BoundedMinimum, InversionResult, RecoveredAtom
 from livcalc.verify import CheckResult
 
 GRID = default_grid()
@@ -155,9 +156,21 @@ RECORDS = {
         ((0.5, 1.0),), SampledDensity(-1.0, 1.0, (0.0, 1.0, 0.5))),
     "DeficiencyElement": lambda: g_plus(1.0),
     "MoebiusMap": MoebiusMap.cayley,
-    "CheckResult": lambda: CheckResult("check", 1e-12, 1e-10),
+    "CheckResult": lambda: CheckResult("check", 1e-12, 1e-10, True),
+    "ModelFunctions": lambda: model_closed_forms(1.0),
+    "BoundedMinimum": lambda: BoundedMinimum(0.5, 3),
+    "RecoveredAtom": lambda: RecoveredAtom(0.0, 1.0, 1e-12),
+    "InversionResult": lambda: InversionResult(
+        (RecoveredAtom(0.0, 1.0, 1e-12),), SampledDensity(-1.0, 1.0, (0.0, 1.0, 0.5)), 0.002),
+    "RayDiagnostic": lambda: RayDiagnostic(0.0, math.pi / 4, (1e1, 1e2), (9.0, 99.0), True),
+    "ClassMembershipReport": lambda: ClassMembershipReport(
+        0j, True, True, (RayDiagnostic(0.0, math.pi / 4, (1e1, 1e2), (9.0, 99.0), True),),
+        ClassVerdict.CONSISTENT_WITH_C),
 }
-COPYABLE = ["CouplingAngles", "BorelMeasureModel", "MoebiusMap", "CheckResult"]
+#: the values whose fields all compare by value
+COPYABLE = ["CouplingAngles", "BorelMeasureModel", "MoebiusMap", "CheckResult",
+            "BoundedMinimum", "RecoveredAtom", "InversionResult", "RayDiagnostic",
+            "ClassMembershipReport"]
 
 
 class TestValueClasses:
@@ -170,7 +183,7 @@ class TestValueClasses:
             with pytest.raises(AttributeError):
                 delattr(value, field)
 
-    @pytest.mark.parametrize("name", ["CouplingAngles", "BorelMeasureModel", "MoebiusMap"])
+    @pytest.mark.parametrize("name", COPYABLE)
     def test_equal_fields_give_equal_values_and_hashes(self, name):
         a, b = RECORDS[name](), RECORDS[name]()
         assert a is not b and a == b and hash(a) == hash(b)
@@ -192,6 +205,13 @@ class TestValueClasses:
         value = RECORDS[name]()
         again = round_trip(value)
         assert type(again) is type(value) and again == value
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_repr_names_every_field(self, name):
+        value = RECORDS[name]()
+        text = repr(value)
+        assert text.startswith(f"{name}(")
+        assert all(f"{field}=" in text for field in type(value).__slots__)
 
     def test_repr_names_the_fields(self):
         # tests/test_moebius.py seeds its mpmath test points from this repr
@@ -345,6 +365,41 @@ class TestWorstOf:
 
     def test_mix_of_floats_and_arrays_gives_the_largest_entry(self):
         assert worst_of([0.5, np.array([0.25, 3.0]), np.float64(1.0), np.array(2.0)]) == 3.0
+
+
+class TestToJson:
+    def test_floats_print_at_17_significant_digits(self):
+        assert [to_json(x) for x in (-0.0, math.nan, math.inf, -math.inf, 0.1 + 0.2)] == [
+            "-0", "nan", "inf", "-inf", "0.30000000000000004"]
+        assert to_json(np.float64(0.15)) == "0.14999999999999999"
+
+    def test_complex_is_a_re_im_pair(self):
+        assert to_json(complex(1.5, -0.0)) == {"re": "1.5", "im": "-0"}
+
+    def test_bool_str_none_pass_through_and_an_enum_gives_its_value(self):
+        assert to_json([True, "name", None, ClassVerdict.FAILS_GROWTH]) == [
+            True, "name", None, "FailsGrowth"]
+
+    def test_nested_record_becomes_the_dict_of_its_slots(self):
+        ray = RayDiagnostic(0.1, 0.5, (1e1,), (2.5,), False)
+        report = ClassMembershipReport(0.5 - 0.25j, False, False, (ray,), ClassVerdict.FAILS_AT_I)
+        assert to_json(report) == {
+            "value_at_i": {"re": "0.5", "im": "-0.25"},
+            "vanishes_at_i": False,
+            "ray_growth_passed": False,
+            "ray_details": [{"alpha": "0.10000000000000001", "theta": "0.5", "radii": ["10"],
+                             "magnitudes": ["2.5"], "passed": False}],
+            "verdict": "FailsAtI",
+        }
+
+    def test_dict_of_tuples_is_rendered_item_by_item(self):
+        assert to_json({"pairs": ((1.0, None), ("x", 2j))}) == {
+            "pairs": [["1", None], ["x", {"re": "0", "im": "2"}]]}
+
+    @pytest.mark.parametrize("value", [1, np.array([1.0]), object()], ids=["int", "array", "object"])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            to_json(value)
 
 
 class TestComplexJson:

@@ -24,6 +24,7 @@ from livcalc import (
     realize_herglotz,
     sup_deviation,
 )
+from livcalc.core import to_json
 from livcalc.measure import BorelMeasureModel
 
 GRID = default_grid()
@@ -185,7 +186,7 @@ class TestClassCCheck:
 
     def test_report_serializes_all_rays(self):
         report = class_C_check(MODEL_ONE.livsic)
-        payload = report.to_json()
+        payload = to_json(report)
         assert len(payload["ray_details"]) == 16 * 3
         assert payload["verdict"] == "ConsistentWithC"
         assert all(len(d["magnitudes"]) == 4 for d in payload["ray_details"])

@@ -52,6 +52,18 @@ def conjugated_values(self, w):
         return (self.a * w + np.conj(self.b)) / (self.c * w + self.d)
 
 
+def mistagged_forms(ell):
+    # the closed forms with the parameter tag off by 1e-6
+    forms = closed_forms(ell)
+    return model_mod.ModelFunctions(
+        forms.livsic, forms.characteristic, math.exp(-ell) * (1 + 1e-6))
+
+
+def refined_to_bracket_edge(func, bounds, xatol):
+    # the refinement's evaluations, but its point left at the bracket's lower end
+    return measure.BoundedMinimum(bounds[0], minimize(func, bounds, xatol).nfev)
+
+
 def g_plus_without_decay(ell):
     # e^x for e^{x - ell}: g_+ grows by e^ell and loses its unit norm
     c = normalizer(ell)
@@ -79,8 +91,7 @@ def flipped_shift(locs, weights, dens_x, dens_w, zs):
 #: (id, [(owner, attribute, planted value)], the failing checks with bounds)
 ROWS = [
     # a parameter tag off by 1e-6: the split couples its parts at the wrong angles
-    ("broken-tag", [(model_mod, "model_closed_forms", lambda ell: closed_forms(ell)._replace(
-        kappa=math.exp(-ell) * (1 + 1e-6)))],
+    ("broken-tag", [(model_mod, "model_closed_forms", mistagged_forms)],
      fails((1e-14, 1e-3), "model/interval-split")),
     # the coupling theorem holds for (e^{-ell1}, e^{-ell2}) in this order
     ("swapped-coupling-parameters", [(model_mod, "coupling_angles", lambda k, q: angles(q, k))],
@@ -171,8 +182,7 @@ ROWS = [
      fails((1.0, 3.0), "measure/normalization-equals-value-at-i")),
     # a peak left at its bracket's lower end, one scan spacing off: the mass
     # eps * Im M there decays with eps, so the atom is lost
-    ("refinement-at-bracket-edge", [(measure, "minimize_scalar", lambda func, bounds, xatol:
-        minimize(func, bounds, xatol)._replace(x=bounds[0]))],
+    ("refinement-at-bracket-edge", [(measure, "minimize_scalar", refined_to_bracket_edge)],
      fails(INF, "measure/two-atom-round-trip(scaled)")),
 ]
 

@@ -45,7 +45,7 @@ def test_checks_and_tolerances_are_pinned():
     results = verify.run_all()
     got = [(suite, check.name) for suite, checks in results.items() for check in checks]
     assert got == [(suite, name) for suite, name, _ in PINNED]
-    tols = [check.tol for checks in results.values() for check in checks]
+    tols = [check.tolerance for checks in results.values() for check in checks]
     for (suite, name, pinned), tol in zip(PINNED, tols):
         assert tol <= pinned, (suite, name)
 
