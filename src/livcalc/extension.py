@@ -8,7 +8,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from typing import List
 
 import numpy as np
 
@@ -78,19 +77,13 @@ class ClassVerdict(enum.Enum):
     FAILS_GROWTH = "FailsGrowth"
 
 
-class RayDiagnostic(Record):
-    """One probe ray of :func:`class_C_check`: the boundary phase angle
-    ``alpha``, the ray angle ``theta``, the probe ``radii``, the
-    ``magnitudes`` |z (s(z) - exp(2 i alpha))| there, and whether the ray
-    ``passed``."""
-
-    __slots__ = ("alpha", "theta", "radii", "magnitudes", "passed")
-
-
 class ClassMembershipReport(Record):
     """The result of :func:`class_C_check`: ``value_at_i`` = s(i), whether
     it ``vanishes_at_i``, whether every ray passed (``ray_growth_passed``),
-    the per-ray ``ray_details`` and the ``verdict``."""
+    the ``ray_details`` and the ``verdict``.  Each ray is a plain dict: the
+    boundary phase angle ``alpha``, the ray angle ``theta``, the probe
+    ``radii``, the ``magnitudes`` |z (s(z) - exp(2 i alpha))| there, and
+    whether the ray ``passed``."""
 
     __slots__ = ("value_at_i", "vanishes_at_i", "ray_growth_passed", "ray_details", "verdict")
 
@@ -130,14 +123,12 @@ def class_C_check(s: AnalyticFn) -> ClassMembershipReport:
     increasing = np.all(mags[:, :, 1:] > mags[:, :, :-1], axis=2)
     passed = increasing & (mags[:, :, -1] > RAY_PASS_THRESHOLD)
     all_passed = bool(passed.all())
-    details: List[RayDiagnostic] = [
-        RayDiagnostic(
-            float(alphas[j]), theta, tuple(RAY_RADII), tuple(mags[j, t].tolist()),
-            bool(passed[j, t]),
-        )
+    details = tuple(
+        {"alpha": float(alphas[j]), "theta": theta, "radii": RAY_RADII,
+         "magnitudes": tuple(mags[j, t].tolist()), "passed": bool(passed[j, t])}
         for j in range(RAY_ALPHA_COUNT)
         for t, theta in enumerate(RAY_THETAS)
-    ]
+    )
 
     if not vanishes:
         verdict = ClassVerdict.FAILS_AT_I
@@ -145,4 +136,4 @@ def class_C_check(s: AnalyticFn) -> ClassMembershipReport:
         verdict = ClassVerdict.FAILS_GROWTH
     else:
         verdict = ClassVerdict.CONSISTENT_WITH_C
-    return ClassMembershipReport(value_at_i, vanishes, all_passed, tuple(details), verdict)
+    return ClassMembershipReport(value_at_i, vanishes, all_passed, details, verdict)

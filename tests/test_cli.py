@@ -177,38 +177,6 @@ class TestMultiplyVerb:
         assert float(got["tag_defect"]) < 1e-12
 
 
-#: the exact stdout of two reports, so that a rendering slip (0.15 where the
-#: product of the tags is 0.14999999999999999) fails
-PINNED_STDOUT = {
-    "multiply --kappa1 0.5 --kappa2 0.3": """\
-{
-  "kappa": {
-    "im": "0",
-    "re": "0.14999999999999999"
-  },
-  "pass": true,
-  "tag_defect": "0",
-  "tolerance": "9.9999999999999998e-13"
-}
-""",
-    "couple --kappa1 0.5 --kappa2 0.5": """\
-{
-  "check": "nunu",
-  "kappa1": "0.5",
-  "kappa2": "0.5",
-  "max_deviation": "4.4408920985006262e-16",
-  "pass": true,
-  "tolerance": "1e-10"
-}
-""",
-}
-
-
-@pytest.mark.parametrize("argv", PINNED_STDOUT)
-def test_pinned_stdout(argv):
-    assert check(argv, 0)[1] == PINNED_STDOUT[argv]
-
-
 class TestDiskEdge:
     # |kappa| = 1 - 2^-53: the disk automorphism's determinant is -2.2e-16
     @pytest.mark.parametrize("argv", [
@@ -296,16 +264,6 @@ class TestVerifyAll:
         got = report("verify-all")
         assert got["all_passed"] is True
         assert set(got) >= {"core", "moebius", "measure", "extension", "coupling", "model"}
-
-
-class TestDeterminism:
-    def test_byte_identical_json(self):
-        assert run(["model", "--length", "1", "--eval", "0+2i"]) == run(
-            ["model", "--length", "1", "--eval", "0+2i"])
-
-    def test_byte_identical_csv(self):
-        argv = ("model", "--length", "0.5", "--grid", "default", "--format", "csv")
-        assert run(argv) == run(argv)
 
 
 class TestUsageErrors:

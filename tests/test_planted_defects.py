@@ -20,7 +20,7 @@ moebius_values, panel_rule = MoebiusMap.values, oracle._panel_rule
 automorphism = MoebiusMap.disk_automorphism
 herglotz_eval, rotate = _kernels.herglotz_eval, verify.reference_change_livsic
 multiply, corpus = coupling.multiply_characteristic, verify.bundled_corpus
-minimize = measure.minimize_scalar
+minimize, extrapolate = measure.minimize_scalar, measure._extrapolate_to_zero
 
 INF, NAN = (math.inf, math.inf), (math.nan, math.nan)
 
@@ -184,6 +184,11 @@ ROWS = [
     # eps * Im M there decays with eps, so the atom is lost
     ("refinement-at-bracket-edge", [(measure, "minimize_scalar", refined_to_bracket_edge)],
      fails(INF, "measure/two-atom-round-trip(scaled)")),
+    # every extrapolated weight and density value 3% high: the same check,
+    # through a finite value
+    ("extrapolation-3pc-high",
+     [(measure, "_extrapolate_to_zero", lambda eps, values: 1.03 * extrapolate(eps, values))],
+     fails((1.2, 2.0), "measure/two-atom-round-trip(scaled)")),
 ]
 
 
