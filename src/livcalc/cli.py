@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import gc
 import json
 import math
 import re
@@ -348,5 +349,19 @@ def main(argv: Optional[list] = None) -> int:
         return 2
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The process entry point of ``python -m livcalc.cli`` and of the
+    ``livcalc`` console script: :func:`main` in a fresh interpreter."""
+    # Freeze the import-time heap (about 21,000 objects from numpy and
+    # livcalc) into the permanent generation, so the collections that the
+    # interpreter runs at exit skip it: they took 13-16 ms of a 107 ms cold
+    # verb on a 2-core VM, and the benchmark's cli_cold op_p50_s went from
+    # 115 to 104 ms (medians of ten pairs).  atexit callbacks, the flush of
+    # the std streams and the exit code are unchanged.  In-process callers of
+    # main keep their collector.
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -22,7 +22,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .core import AnalyticFn, FnKind, Record, evaluate_many, json_list, json_number
+from .core import (
+    OVERFLOW_GUARD, AnalyticFn, FnKind, Record, evaluate_many, json_list, json_number,
+)
 from .errors import EmptyMeasure, OutOfRange, UsageError, WindowTooSmall
 from .moebius import MoebiusMap
 
@@ -76,8 +78,12 @@ class BorelMeasureModel(Record):
         if any(not math.isfinite(loc) for loc, _ in atoms):
             raise OutOfRange("atom locations must be finite")
         super().__init__(atoms, density)
-        if not math.isfinite(self.normalization_integral()):
+        total = self.normalization_integral()
+        if not math.isfinite(total):
             raise OutOfRange("normalization integral must be finite")
+        if total > OVERFLOW_GUARD:
+            raise OutOfRange(f"normalization integral = {total} above {OVERFLOW_GUARD:g}: "
+                             "M(i) = i * integral would be a pole")
 
     def locations(self) -> np.ndarray:
         return np.asarray([a[0] for a in self.atoms], dtype=np.float64)

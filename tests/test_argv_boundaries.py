@@ -131,6 +131,13 @@ def test_every_argv_keeps_the_rule(axis):
     ("check-class --length 1 --probe cayley", 2, "--probe: not allowed with argument --length"),
     ("check-class", 2, "one of the arguments --length --probe is required"),
     ("measure --atoms=0:1,0:1", 2, "^error: atom locations must be pairwise distinct"),
+    # M(i) = i * the normalization integral, so a larger integral is a pole
+    ("measure --atoms=0:1e300", 2, r"^error: normalization integral = 1e\+300 above 1e\+12"),
+    ("measure --atoms=0:1e300 --check-normalization", 2,
+     r"^error: normalization integral = 1e\+300 above 1e\+12"),
+    ("measure --atoms=0:1e300 --invert", 2,
+     r"^error: normalization integral = 1e\+300 above 1e\+12"),
+    ("measure --atoms=0:1e12", 0, r'"im": "1000000000000"'),
     (f"{INVERT} --eps=0.01", 2, "^error: eps_schedule must be"),
     ("couple --kappa1 0.5 --kappa2 1", 2, r"^error: kappa2 = 1.0 outside \[0, 1\)"),
     ("multiply --kappa1 1 --kappa2 0.5", 2, r"^error: .*needs \|kappa\| < 1, got \|\(1\+0j\)\|"),
@@ -146,7 +153,9 @@ def test_every_argv_keeps_the_rule(axis):
     ("model --length 1 --eval 1e-400+1i", 2,
      r"--eval: complex value '1e-400\+1i' underflows a double to 0"),
 ], ids=["oracle-just-past-node-budget", "grid-spec", "check-class-source-conflict",
-        "check-class-needs-a-source", "duplicate-atoms", "one-eps", "kappa-at-one",
+        "check-class-needs-a-source", "duplicate-atoms",
+        "normalization-above-guard", "normalization-above-guard-check",
+        "normalization-above-guard-invert", "normalization-at-guard", "one-eps", "kappa-at-one",
         "kappa-on-circle", "pole-in-a-sweep", "oracle-on-a-grid", "overflowing-literal",
         "underflowing-imaginary-part", "underflowing-real-part"])
 def test_row(argv, code, pattern):
@@ -184,8 +193,9 @@ def test_a_program_error_escapes_main(monkeypatch):
     (ensure_rotation, (4.0,)), (g_plus(1.0), (2.0,)), (split_interval_check, (1.0, 1.5, None)),
     (stieltjes_invert, (realize_herglotz(BorelMeasureModel(((0.0, 1.0),))), (-2, 2), (1, 0.1), 4)),
     (TaggedCharacteristic, (model_closed_forms(1.0).characteristic, 0.5)),
+    (BorelMeasureModel, ((), SampledDensity(0.0, 1.0, (1e13, 1e13, 1e13)))),
 ], ids=["grid", "json", "density", "angles", "rotation", "deficiency-element",
-        "split-fraction", "scan-count", "tag"])
+        "split-fraction", "scan-count", "tag", "density-normalization"])
 def test_library_rejection_is_typed(reject, args):
     with pytest.raises(LivcalcError):
         reject(*args)

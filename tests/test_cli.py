@@ -1,13 +1,17 @@
 import argparse
+import gc
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
+import tomllib
 
 import pytest
 from test_argv_boundaries import check, run
+from test_golden import path_of
 
 import livcalc
 from livcalc.cli import build_parser, parse_atoms, parse_complex
@@ -412,3 +416,43 @@ class TestColdStart:
         for atom, (loc, w) in zip(atoms, ((0.123456, 1.0), (1.5, 0.5))):
             assert abs(float(atom["location"]) - loc) < 1e-10
             assert abs(float(atom["weight"]) - w) < 0.02 * w
+
+
+class TestEntryPoint:
+    """``cli.run`` is the one process entry point; it freezes the import-time
+    heap, and :func:`livcalc.cli.main` leaves the collector as it is."""
+
+    @pytest.mark.parametrize("argv", [
+        "multiply --kappa1 0.5 --kappa2 0.3",
+        "check-class --length 0.01",
+        "model --length 1 --eval 0-1i",
+    ], ids=lambda argv: argv.split()[0])
+    def test_cold_entry_keeps_the_golden_bytes(self, argv):
+        golden = json.loads(path_of(argv.split()).read_text())
+        done = run_cold("-m", "livcalc.cli", *argv.split())
+        assert (done.returncode, done.stdout, done.stderr) == (
+            golden["exit"], "".join(golden["stdout"]), "".join(golden["stderr"]))
+
+    def test_run_freezes_before_the_verb_and_keeps_atexit(self):
+        script = (
+            "import atexit, gc, sys\n"
+            "import livcalc.cli\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+            "sys.argv = ['livcalc', 'model', '--length', '1', '--eval', '0-1i']\n"
+            "livcalc.cli.run()\n"
+        )
+        done = run_cold("-c", script)
+        assert done.returncode == 2
+        frozen = done.stderr.splitlines()[-1].split()
+        assert frozen[0] == "frozen" and int(frozen[1]) > 10_000, done.stderr
+
+    def test_main_leaves_the_freeze_count(self):
+        before = gc.get_freeze_count()
+        assert run(["multiply", "--kappa1", "0.5", "--kappa2", "0.3"])[0] == 0
+        assert gc.get_freeze_count() == before
+
+    def test_console_script_enters_through_run(self):
+        pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"livcalc": "livcalc.cli:run"}
