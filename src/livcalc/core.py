@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
+from collections import Counter
 from typing import Callable
 
 import numpy as np
@@ -27,6 +29,13 @@ IDENTITY_TOL = 1e-10
 QUADRATURE_TOL = 1e-8
 #: Relative atom-weight error of Stieltjes inversion.
 INVERSION_REL_TOL = 0.02
+
+#: The program's work, counted where it happens.  The counts only grow, so a
+#: reader takes differences.  Keys: core.point_calls, core.array_calls,
+#: core.grid_sweeps, core.points (evaluated), core.poles (points the guard
+#: rejects), oracle.points, oracle.panels, and Stieltjes inversion's
+#: measure.candidates, measure.refinements and measure.refine_evals.
+COUNTS: Counter = Counter()
 
 
 class FnKind(enum.Enum):
@@ -47,10 +56,13 @@ def require_upper(z: complex) -> complex:
 
 
 def require_length(ell: float) -> float:
-    """Validate an interval length: finite and positive."""
+    """Validate an interval length: finite and at least the smallest normal
+    double.  A subnormal length has fewer than 53 significant bits, and the
+    closed form poles on the default grid there."""
     ell = float(ell)
-    if not (ell > 0.0 and math.isfinite(ell)):
-        raise OutOfRange(f"interval length must be finite and positive, got {ell}")
+    if not (ell >= sys.float_info.min and math.isfinite(ell)):
+        raise OutOfRange(f"interval length must be finite and positive, at least "
+                         f"{sys.float_info.min} (the smallest normal double), got {ell}")
     return ell
 
 
@@ -124,10 +136,12 @@ class AnalyticFn(Record):
         PoleEncountered where a value is not finite or exceeds
         OVERFLOW_GUARD.
         """
+        point = np.ndim(z) == 0
+        COUNTS["core.point_calls" if point else "core.array_calls"] += 1
         zs, values, bad = _guarded_values(self, z)
         if len(bad):
             raise PoleEncountered(_pole_message(self, zs[bad[0]]))
-        if np.ndim(z) == 0:
+        if point:
             return complex(values[0])
         return values.reshape(np.shape(z))
 
@@ -136,6 +150,7 @@ def _guarded_values(f: AnalyticFn, z):
     """(points, values, indices of the poles) of ``f`` over the points of
     ``z``, flattened."""
     zs = np.asarray(z, dtype=np.complex128).reshape(-1)
+    COUNTS["core.points"] += zs.size
     outside = ~(zs.imag > 0.0) | ~np.isfinite(zs)
     if outside.any():
         require_upper(zs[np.argmax(outside)])
@@ -145,7 +160,9 @@ def _guarded_values(f: AnalyticFn, z):
     # NaN compares false, so one test catches NaN, infinities and overflow
     if modulus.max(initial=0.0) <= OVERFLOW_GUARD:
         return zs, values, ()
-    return zs, values, np.flatnonzero(~(modulus <= OVERFLOW_GUARD))
+    bad = np.flatnonzero(~(modulus <= OVERFLOW_GUARD))
+    COUNTS["core.poles"] += bad.size
+    return zs, values, bad
 
 
 def _pole_message(f: AnalyticFn, z) -> str:
@@ -216,6 +233,7 @@ def evaluate_on_grid(f: AnalyticFn, grid: EvaluationGrid) -> list:
     A pole does not abort the sweep: the offending entry holds the
     :class:`PoleEncountered` instance instead of a complex value.
     """
+    COUNTS["core.grid_sweeps"] += 1
     zs, values, bad = _guarded_values(f, grid.points)
     out = values.tolist()
     for k in bad:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .core import (
-    OVERFLOW_GUARD, AnalyticFn, FnKind, Record, evaluate_many, json_list, json_number,
+    COUNTS, OVERFLOW_GUARD, AnalyticFn, FnKind, Record, evaluate_many, json_list, json_number,
 )
 from .errors import EmptyMeasure, OutOfRange, UsageError, WindowTooSmall
 from .moebius import MoebiusMap
@@ -299,13 +299,17 @@ def stieltjes_invert(
     e_min = eps[-1]
     atoms = []
     inner = finest[1:-1]
-    for i in np.flatnonzero((inner > finest[:-2]) & (inner >= finest[2:])) + 1:
+    peaks = np.flatnonzero((inner > finest[:-2]) & (inner >= finest[2:])) + 1
+    COUNTS["measure.candidates"] += peaks.size
+    for i in peaks:
         bracket = (scan[i] - spacing, scan[i] + spacing)
         refined = minimize_scalar(
             lambda x: -evaluate_many(M, np.array([x + 1j * e_min]))[0].imag,
             bounds=bracket,
             xatol=1e-13,
         )
+        COUNTS["measure.refinements"] += 1
+        COUNTS["measure.refine_evals"] += refined.nfev
         loc = float(refined.x)
         mass = np.array(
             [e * evaluate_many(M, np.array([loc + 1j * e]))[0].imag for e in eps]

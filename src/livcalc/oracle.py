@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from ._kernels import gauss_exp
-from .core import QUADRATURE_TOL, require_length, require_upper
+from .core import COUNTS, QUADRATURE_TOL, require_length, require_upper
 from .errors import QuadratureFailed
 
 #: Gauss-Legendre points per panel.
@@ -119,8 +119,10 @@ def model_livsic_quadrature(ell: float, z: complex) -> complex:
     end of the interval by composite Gauss-Legendre quadrature with a panel
     count scaled to |z + i| * ell.  Agrees with the closed form within
     QUADRATURE_TOL; raises QuadratureFailed when |z + i| * ell is too large
-    for the MAX_NODES budget (past about 4.37e4), and when J_+ underflows to
-    0 (at ell far below 1e-300).
+    for the MAX_NODES budget (past about 4.37e4), and, as a guard, when J_+
+    underflows to 0.  A length below the smallest normal double, where J_+
+    can underflow, is an OutOfRange of :func:`require_length` that names the
+    length.
     """
     ell = require_length(ell)
     z = require_upper(z)
@@ -129,7 +131,9 @@ def model_livsic_quadrature(ell: float, z: complex) -> complex:
     width = abs(z + 1j) * ell / PANEL_SPAN
     # past the budget, inf and NaN included, m starts too large to loop
     m = max(1, math.ceil(width)) if width <= MAX_NODES else MAX_NODES
+    COUNTS["oracle.points"] += 1
     while 3 * GAUSS_POINTS * m <= MAX_NODES:
+        COUNTS["oracle.panels"] += 3 * m
         # J_- on m and 2m panels, then J_+ on m and 2m panels
         minus_m, minus_2m, plus_m, plus_2m = gauss_exp(b, *_panel_rule(ell, m)).tolist()
         # bounds the estimated error of s by tol * (1 + |s|)

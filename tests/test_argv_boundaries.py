@@ -92,6 +92,9 @@ EPS = ("0.01,0.001,0.0001", "1e-8,1e-9", "0.01", "0.001,0.01", "0.01,0.01", "0,-
 PROBES = ("cayley", "const:0", "const:0.5", "const:0+0.5i", "const:1", "const:1e400",
           "const:zz", "const:", "mystery")
 INVERT = "measure --atoms=1:1,-1:1 --invert"
+#: the rejection of a subnormal length, 5e-324, by name
+SUBNORMAL = (r"^error: interval length must be finite and positive, at least "
+             r"2\.2250738585072014e-308 \(the smallest normal double\), got 5e-324$")
 
 AXES = {
     "model-point": [f"model --length={ell} --eval={z}{oracle}" for ell, z, oracle
@@ -141,8 +144,14 @@ def test_every_argv_keeps_the_rule(axis):
     (f"{INVERT} --eps=0.01", 2, "^error: eps_schedule must be"),
     ("couple --kappa1 0.5 --kappa2 1", 2, r"^error: kappa2 = 1.0 outside \[0, 1\)"),
     ("multiply --kappa1 1 --kappa2 0.5", 2, r"^error: .*needs \|kappa\| < 1, got \|\(1\+0j\)\|"),
-    # a pole inside a sweep is a row of NaN, not an error
-    ("model --length 5e-324 --grid default --format csv", 0, "\n0,1,nan,nan\n"),
+    # a pole inside a sweep is a row of NaN, not an error: 336 of 442 here
+    ("model --length 1.7e308 --grid default --format csv", 0, "\n-5,5,nan,nan\n"),
+    # a subnormal length has fewer than 53 significant bits
+    ("model --length 5e-324 --eval 0+2i", 2, SUBNORMAL),
+    ("multiply --kappa1 0.5 --kappa2 0.3 --length 5e-324", 2, SUBNORMAL),
+    ("check-class --length 5e-324", 2, SUBNORMAL),
+    ("model --length 5e-324 --eval 1e300+1i --oracle", 2, SUBNORMAL),
+    ("model --length 5e-324 --eval 0+1e300i --oracle", 2, SUBNORMAL),
     # the oracle verifies one point; a sweep would silently drop it
     ("model --length 1 --grid default --oracle --format csv", 2,
      r"^error: --oracle applies to --eval"),
@@ -156,8 +165,10 @@ def test_every_argv_keeps_the_rule(axis):
         "check-class-needs-a-source", "duplicate-atoms",
         "normalization-above-guard", "normalization-above-guard-check",
         "normalization-above-guard-invert", "normalization-at-guard", "one-eps", "kappa-at-one",
-        "kappa-on-circle", "pole-in-a-sweep", "oracle-on-a-grid", "overflowing-literal",
-        "underflowing-imaginary-part", "underflowing-real-part"])
+        "kappa-on-circle", "pole-in-a-sweep", "subnormal-length-model",
+        "subnormal-length-multiply", "subnormal-length-check-class",
+        "subnormal-length-oracle-real", "subnormal-length-oracle-imag", "oracle-on-a-grid",
+        "overflowing-literal", "underflowing-imaginary-part", "underflowing-real-part"])
 def test_row(argv, code, pattern):
     check(argv, code, pattern)
 

@@ -1,7 +1,6 @@
 import argparse
 import gc
 import json
-import math
 import os
 import pathlib
 import re
@@ -71,20 +70,6 @@ class TestParsing:
 
 
 class TestModelVerb:
-    def test_single_point_report(self):
-        got = report("model --length 1 --eval 0+2i")
-        assert abs(float(got["s"]["re"]) - 0.24472847105479767) < 1e-15
-        assert abs(float(got["S"]["re"]) - math.exp(-2)) < 1e-15
-        assert abs(float(got["kappa"]) - math.exp(-1)) < 1e-15
-
-    def test_oracle_flag(self):
-        assert float(report("model --length 1 --eval 0+2i --oracle")["oracle_deviation"]) < 1e-8
-
-    def test_grid_sweep_csv(self):
-        lines = check("model --length 1 --grid default --format csv", 0)[1].strip().split("\n")
-        assert lines[0] == "re,im,f_re,f_im"
-        assert len(lines) == 1 + 21 * 21 + 1
-
     def test_grid_file(self, tmp_path):
         grid_file = tmp_path / "grid.json"
         grid_file.write_text(json.dumps({
@@ -138,8 +123,6 @@ class TestModelVerb:
     @pytest.mark.parametrize("ell, z", [
         # |z + i| * ell overflows to inf
         ("1.7e308", "0+2i"), ("1.7e308", "0+1e300i"), ("1e300", "0+1e300i"),
-        # J_+ underflows to 0
-        ("5e-324", "1e300+1i"), ("5e-324", "0+1e300i"),
     ])
     def test_oracle_out_of_reach_names_ell_and_z(self, ell, z):
         check(f"model --length {ell} --eval {z} --oracle", 2,
@@ -148,14 +131,6 @@ class TestModelVerb:
 
 
 class TestCoupleVerb:
-    def test_nunu_check_passes(self):
-        got = report("couple --kappa1 0.5 --kappa2 0.5 --grid default --check nunu")
-        assert got["pass"] is True
-        assert float(got["max_deviation"]) < 1e-10
-
-    def test_formula1_check_passes(self):
-        assert report("couple --kappa1 0.25 --kappa2 0.75 --check formula1")["pass"] is True
-
     def test_unequal_kappas_pass(self):
         # s1 and s2 have lengths 1 and 2, so a swap of them would not pass
         got = report("couple --kappa1 0.3 --kappa2 0.7")
@@ -172,13 +147,6 @@ class TestCoupleVerb:
         # the second model's length 2 * ell overflows; the user passed 1e308
         check("couple --kappa1 0.5 --kappa2 0.5 --length 1e308", 2,
               r"^error: --length 1e\+308 .*2 \* ell overflows")
-
-
-class TestMultiplyVerb:
-    def test_product_tag(self):
-        got = report("multiply --kappa1 0.5 --kappa2 0.3")
-        assert abs(float(got["kappa"]["re"]) - 0.15) < 1e-15
-        assert float(got["tag_defect"]) < 1e-12
 
 
 class TestDiskEdge:
@@ -201,21 +169,9 @@ class TestAddVerb:
 
 
 class TestMeasureVerb:
-    def test_normalized_atom(self):
-        got = report("measure --atoms 0:1 --check-normalization")
-        assert got["defect"] == "0"
-        assert got["M_at_i"] == {"re": "0", "im": "1"}
-
     def test_unnormalized_atom_fails_check(self):
         got = report("measure --atoms 1:1 --check-normalization", 1)
         assert abs(float(got["defect"]) - 0.5) < 1e-15
-
-    def test_invert_round_trip(self):
-        # leading-dash values need the --flag=value form
-        atoms = report("measure --atoms=1:1,-1:1 --invert --window=-2:2 "
-                       "--eps 0.01,0.001,0.0001")["recovered_atoms"]
-        assert len(atoms) == 2
-        assert abs(float(atoms[0]["weight"]) - 1.0) < 0.02
 
     def test_measure_file(self, tmp_path):
         measure_file = tmp_path / "mu.json"

@@ -30,21 +30,24 @@ ARGVS = [argv.split() for argv in (
     "check-class --probe cayley",
     "verify-all",
     # outputs at the edges: a failed verdict, a constant probe, a grid
-    # full of poles, a signed zero, an inversion off the scan lattice
+    # with poles, a signed zero, an inversion off the scan lattice
     "check-class --length 0.01",
     "check-class --probe const:0.5",
-    "model --length 5e-324 --grid default",
+    "model --length 1.7e308 --grid default",
     "add --alpha -0.0",
     "measure --atoms=0.123456:1,1.5:0.5 --invert",
     "model --length 1 --eval 0+2i",
     "couple --kappa1 0.5 --kappa2 0.5",
-    # one argv for each class of exit 2: argparse, OutOfRange, UsageError,
-    # OSError, a pole and QuadratureFailed
+    # one argv for each class of exit 2: argparse, OutOfRange (a point off
+    # the half-plane, and a subnormal length at a point and on a grid),
+    # UsageError, OSError, a pole and QuadratureFailed
     "model --length 1",
     "model --length 1 --eval 0-1i",
+    "model --length 5e-324 --grid default",
     "model --length 1 --grid default --oracle",
     "model --length 1 --grid file:/nonexistent/grid.json",
     "model --length 5e-324 --eval 0+2i",
+    "check-class --length 1.7e308",
     "model --length 2 --eval 10000000+0.1i --oracle",
 )]
 

@@ -40,6 +40,7 @@ class TestClosedForms:
         expected = (math.exp(-2) - math.exp(-1)) / (math.exp(-3) - 1.0)
         assert abs(expected - 0.24472847105479767) < 1e-16
         assert abs(model_closed_forms(1.0).livsic(2j) - expected) < 1e-16
+        assert abs(model_closed_forms(1.0).characteristic(2j) - math.exp(-2)) < 1e-16
 
     def test_disk_automorphism_relation(self):
         # S = (s - kappa)/(kappa s - 1) pointwise, kappa real here
@@ -126,7 +127,7 @@ class TestQuadratureOracle:
         assert abs(model_livsic_quadrature(1.0, 1j)) < 1e-10
 
     def test_value_at_2i(self):
-        assert abs(model_livsic_quadrature(1.0, 2j) - 0.24472847105479767) < 1e-8
+        assert abs(model_livsic_quadrature(1.0, 2j) - 0.24472847105479767) < 1e-12
 
     def test_off_axis_point(self):
         closed = model_closed_forms(2.0).livsic

@@ -5,8 +5,10 @@ import importlib.util
 import json
 import os
 
+from test_argv_boundaries import run
+
 from livcalc import cli, oracle, verify
-from livcalc.core import default_grid
+from livcalc.core import COUNTS, default_grid
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -71,6 +73,29 @@ def test_warm_oracle_sweep_misses_no_cached_rule():
     misses = oracle._panel_rule.cache_info().misses
     verify.oracle_deviation((0.5, 1.0, 2.0), grid)
     assert oracle._panel_rule.cache_info().misses == misses
+
+
+def added_counts(work) -> dict:
+    """What ``work()`` adds to the program's own counts, ``core.COUNTS``."""
+    before = COUNTS.copy()
+    work()
+    return dict(COUNTS - before)
+
+
+def test_the_program_counts_its_own_work():
+    added = added_counts(verify.run_all)
+    # 3 lengths x 442 grid points, and 3m panels per convergence attempt
+    assert (added["oracle.points"], added["oracle.panels"]) == (1326, 4875)
+    # every AnalyticFn call, point or array: the tracer's core.scalar_calls
+    assert added["core.point_calls"] + added["core.array_calls"] == 164
+    assert "core.poles" not in added
+    assert (added["measure.candidates"], added["measure.refinements"],
+            added["measure.refine_evals"]) == (2, 2, 12)
+    assert added_counts(lambda: run("model --length 1 --eval 0+2i --oracle".split())
+                        )["oracle.points"] == 1
+    # the sweep prints a null for each of its pole points
+    assert added_counts(lambda: run("model --length 1.7e308 --grid default".split())
+                        )["core.poles"] == 336
 
 
 def test_benchmark_tracer_sees_every_suite(capsys):
