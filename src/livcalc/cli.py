@@ -69,42 +69,25 @@ def parse_complex(text: str) -> complex:
     return value
 
 
+def parse_floats(text: str, sep: str, count: Optional[int], what: str, expected: str):
+    """The reals of ``text`` separated by ``sep``, exactly ``count`` of them
+    where ``count`` is given: the one parser of --atoms, --window and --eps."""
+    try:
+        values = tuple(float(v) for v in text.split(sep))
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)):
+        raise argparse.ArgumentTypeError(f"cannot parse {what} {text!r}; expected {expected}")
+    return values
+
+
 def parse_atoms(text: str):
     """Parse 'loc:weight,loc:weight,...'."""
-    atoms = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            loc, weight = chunk.split(":")
-            atoms.append((float(loc), float(weight)))
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(
-                f"cannot parse atom {chunk!r}; expected loc:weight"
-            ) from exc
+    atoms = tuple(parse_floats(chunk.strip(), ":", 2, "atom", "loc:weight")
+                  for chunk in text.split(",") if chunk.strip())
     if not atoms:
         raise argparse.ArgumentTypeError("at least one atom required")
-    return tuple(atoms)
-
-
-def parse_window(text: str):
-    try:
-        lo, hi = text.split(":")
-        return float(lo), float(hi)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"cannot parse window {text!r}; expected lo:hi"
-        ) from exc
-
-
-def parse_eps(text: str):
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"cannot parse eps schedule {text!r}; expected comma-separated reals"
-        ) from exc
+    return atoms
 
 
 def parse_probe(text: str):
@@ -205,8 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--measure-file", type=str, help="measure model JSON file")
     p_meas.add_argument("--check-normalization", action="store_true")
     p_meas.add_argument("--invert", action="store_true")
-    p_meas.add_argument("--window", type=parse_window, default=(-2.0, 2.0))
-    p_meas.add_argument("--eps", type=parse_eps, default=(1e-2, 1e-3, 1e-4))
+    p_meas.add_argument("--window", default=(-2.0, 2.0), type=functools.partial(
+        parse_floats, sep=":", count=2, what="window", expected="lo:hi"))
+    p_meas.add_argument("--eps", default=(1e-2, 1e-3, 1e-4), type=functools.partial(
+        parse_floats, sep=",", count=None, what="eps schedule",
+        expected="comma-separated reals"))
 
     p_class = sub.add_parser("check-class", help="membership heuristic for the "
                                                  "vanishing-at-i class")

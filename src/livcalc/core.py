@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from collections import Counter
+from collections import defaultdict
 from typing import Callable
 
 import numpy as np
@@ -35,7 +35,7 @@ INVERSION_REL_TOL = 0.02
 #: core.grid_sweeps, core.points (evaluated), core.poles (points the guard
 #: rejects), oracle.points, oracle.panels, and Stieltjes inversion's
 #: measure.candidates, measure.refinements and measure.refine_evals.
-COUNTS: Counter = Counter()
+COUNTS: defaultdict = defaultdict(int)
 
 
 class FnKind(enum.Enum):
@@ -53,6 +53,32 @@ def require_upper(z: complex) -> complex:
     if not (z.imag > 0.0) or not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise OutOfRange(f"point {z!r} is not in the open upper half-plane")
     return z
+
+
+def require_upper_points(zs: np.ndarray) -> None:
+    """:func:`require_upper` for each point of a complex ndarray."""
+    outside = ~(zs.imag > 0.0) | ~np.isfinite(zs)
+    if outside.any():
+        require_upper(zs[np.argmax(outside)])
+
+
+def require_in(name: str, value: float, interval: str, lo: float, hi: float) -> float:
+    """``value`` as a float if it lies in ``interval``, "[lo, hi)", "[lo, hi]" or
+    "(lo, hi)", whose brackets say which ends belong; else OutOfRange naming ``name``."""
+    value = float(value)
+    if not ((lo <= value if interval[0] == "[" else lo < value)
+            and (value <= hi if interval[-1] == "]" else value < hi)):
+        raise OutOfRange(f"{name} = {value} outside {interval}")
+    return value
+
+
+def require_kind(kind: FnKind, where: str, **fns) -> None:
+    """ValueError, a program error, unless every function in ``fns`` (name:
+    function) has the class role ``kind`` that ``where`` expects."""
+    for name, f in fns.items():
+        if f.kind is not kind:
+            raise ValueError(f"{where} expects {kind.value.capitalize()}-kind input, "
+                             f"{name} is {f.kind}")
 
 
 def require_length(ell: float) -> float:
@@ -140,10 +166,14 @@ class AnalyticFn(Record):
         COUNTS["core.point_calls" if point else "core.array_calls"] += 1
         zs, values, bad = _guarded_values(self, z)
         if len(bad):
-            raise PoleEncountered(_pole_message(self, zs[bad[0]]))
+            raise PoleEncountered(self.pole_message(zs[bad[0]]))
         if point:
             return complex(values[0])
         return values.reshape(np.shape(z))
+
+    def pole_message(self, z) -> str:
+        """The message of the PoleEncountered at the point ``z``."""
+        return f"{self.label or 'function'}: pole at {complex(z)}"
 
 
 def _guarded_values(f: AnalyticFn, z):
@@ -151,9 +181,7 @@ def _guarded_values(f: AnalyticFn, z):
     ``z``, flattened."""
     zs = np.asarray(z, dtype=np.complex128).reshape(-1)
     COUNTS["core.points"] += zs.size
-    outside = ~(zs.imag > 0.0) | ~np.isfinite(zs)
-    if outside.any():
-        require_upper(zs[np.argmax(outside)])
+    require_upper_points(zs)
     with np.errstate(all="ignore"):
         values = np.asarray(f.evaluator(zs), dtype=np.complex128)
         modulus = np.abs(values)
@@ -163,10 +191,6 @@ def _guarded_values(f: AnalyticFn, z):
     bad = np.flatnonzero(~(modulus <= OVERFLOW_GUARD))
     COUNTS["core.poles"] += bad.size
     return zs, values, bad
-
-
-def _pole_message(f: AnalyticFn, z) -> str:
-    return f"{f.label or 'function'}: pole at {complex(z)}"
 
 
 def divide_off_pole(num, den):
@@ -188,9 +212,7 @@ class EvaluationGrid(Record):
         pts = np.array(points, dtype=np.complex128).reshape(-1)
         if pts.size == 0:
             raise OutOfRange("grid must be nonempty")
-        outside = ~(pts.imag > 0.0) | ~np.isfinite(pts)
-        if outside.any():
-            require_upper(pts[np.argmax(outside)])
+        require_upper_points(pts)
         ordered = np.sort(pts)
         if (ordered[1:] == ordered[:-1]).any():
             raise OutOfRange("grid points must be pairwise distinct")
@@ -237,7 +259,7 @@ def evaluate_on_grid(f: AnalyticFn, grid: EvaluationGrid) -> list:
     zs, values, bad = _guarded_values(f, grid.points)
     out = values.tolist()
     for k in bad:
-        out[k] = PoleEncountered(_pole_message(f, zs[k]))
+        out[k] = PoleEncountered(f.pole_message(zs[k]))
     return out
 
 

@@ -19,13 +19,13 @@ from .core import (
     FnKind,
     Record,
     divide_off_pole,
+    require_in,
+    require_kind,
     sup_deviation,
     worst_of,
 )
 from .errors import OutOfRange
 from .moebius import MoebiusMap, ensure_kappa
-
-_HALF_PI = math.pi / 2
 
 
 class CouplingAngles(Record):
@@ -40,10 +40,8 @@ class CouplingAngles(Record):
     __slots__ = ("alpha", "beta")
 
     def __init__(self, alpha: float, beta: float):
-        for name, angle in (("alpha", alpha), ("beta", beta)):
-            if not (0.0 <= angle <= _HALF_PI):
-                raise OutOfRange(f"{name} = {angle} outside [0, pi/2]")
-        super().__init__(alpha, beta)
+        super().__init__(require_in("alpha", alpha, "[0, pi/2]", 0.0, math.pi / 2),
+                         require_in("beta", beta, "[0, pi/2]", 0.0, math.pi / 2))
 
     def trig(self):
         """(cos a cos b, sin a sin b), the two coefficients of the coupling."""
@@ -63,10 +61,8 @@ def coupling_angles(kappa1: float, kappa2: float) -> CouplingAngles:
     Takes moduli only.  Complex extension parameters are not handled
     anywhere yet (ROADMAP Direction 10).
     """
-    k1, k2 = float(kappa1), float(kappa2)
-    for name, k in (("kappa1", k1), ("kappa2", k2)):
-        if not (0.0 <= k < 1.0):
-            raise OutOfRange(f"{name} = {k} outside [0, 1)")
+    k1 = require_in("kappa1", kappa1, "[0, 1)", 0.0, 1.0)
+    k2 = require_in("kappa2", kappa2, "[0, 1)", 0.0, 1.0)
     ratio = math.sqrt((1.0 - k2 * k2) / (1.0 - k1 * k1))
     return CouplingAngles(math.atan2(ratio, k2), math.atan(k1 * ratio))
 
@@ -80,9 +76,7 @@ def couple_livsic(s1: AnalyticFn, s2: AnalyticFn, angles: CouplingAngles) -> Ana
     contractive inputs with cc + ss <= 1 the denominator cannot vanish; a
     vanishing denominator therefore signals invalid input.
     """
-    for name, s in (("s1", s1), ("s2", s2)):
-        if s.kind is not FnKind.LIVSIC:
-            raise ValueError(f"couple_livsic expects Livsic-kind inputs, {name} is {s.kind}")
+    require_kind(FnKind.LIVSIC, "couple_livsic", s1=s1, s2=s2)
     cc, ss = angles.trig()
 
     def evaluator(zs):
@@ -112,9 +106,7 @@ def general_k_identity_defect(
     with a1 = cc + k ss, a2 = ss + k cc and s the coupled function.  A small
     defect confirms the identity; k = 0 reduces to the coupling formula's
     self-consistency."""
-    k = float(k)
-    if not (0.0 <= k < 1.0):
-        raise OutOfRange(f"k = {k} outside [0, 1)")
+    k = require_in("k", k, "[0, 1)", 0.0, 1.0)
     cc, ss = angles.trig()
     a1 = cc + k * ss
     a2 = ss + k * cc
@@ -136,18 +128,12 @@ def convex_sum(alpha: float, v1, v2):
     return math.cos(alpha) ** 2 * v1 + math.sin(alpha) ** 2 * v2
 
 
-def _require_herglotz(M1: AnalyticFn, M2: AnalyticFn) -> None:
-    for name, m in (("M1", M1), ("M2", M2)):
-        if m.kind is not FnKind.HERGLOTZ:
-            raise ValueError(f"add_weyl expects Herglotz-kind inputs, {name} is {m.kind}")
-
-
 def add_weyl(M1: AnalyticFn, M2: AnalyticFn, alpha: float) -> AnalyticFn:
     """Convex combination cos^2(alpha) M1 + sin^2(alpha) M2 (:func:`convex_sum`).
 
     Preserves the half-plane range and the normalization M(i) = i when both
     inputs are normalized."""
-    _require_herglotz(M1, M2)
+    require_kind(FnKind.HERGLOTZ, "add_weyl", M1=M1, M2=M2)
     return AnalyticFn(
         evaluator=lambda zs: convex_sum(alpha, M1.evaluator(zs), M2.evaluator(zs)),
         kind=FnKind.HERGLOTZ,
@@ -165,8 +151,7 @@ class TaggedCharacteristic(Record):
 
     def __init__(self, fn: AnalyticFn, kappa: complex):
         kappa = ensure_kappa(kappa)
-        if fn.kind is not FnKind.CHARACTERISTIC:
-            raise ValueError("tagged function must have Characteristic kind")
+        require_kind(FnKind.CHARACTERISTIC, "TaggedCharacteristic", fn=fn)
         defect = abs(fn(1j) - kappa)
         if defect >= IDENTITY_TOL:
             raise OutOfRange(f"tag kappa = {kappa} disagrees with fn(i) by {defect:.3g}")
@@ -197,7 +182,7 @@ def convexity_defects(
     """The addition law over the angles, for M = cos^2(alpha) M1 +
     sin^2(alpha) M2: the worst |M(i) - i| and the signed worst -min Im M over
     the grid, negative when M maps the grid strictly into the half-plane."""
-    _require_herglotz(M1, M2)
+    require_kind(FnKind.HERGLOTZ, "convexity_defects", M1=M1, M2=M2)
     zs = np.append(grid.points, 1j)  # one sweep of each leaf gives M(i) too
     v1, v2 = M1(zs), M2(zs)
     sums = [convex_sum(alpha, v1, v2) for alpha in alphas]

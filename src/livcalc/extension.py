@@ -11,17 +11,14 @@ import math
 
 import numpy as np
 
-from .core import IDENTITY_TOL, AnalyticFn, FnKind, Record
-from .errors import NotContractive, OutOfRange
+from .core import IDENTITY_TOL, AnalyticFn, FnKind, Record, require_in
+from .errors import NotContractive
 from .moebius import MoebiusMap, ensure_kappa
 
 
 def ensure_rotation(alpha: float) -> float:
     """Validate a reference-rotation angle in [0, pi)."""
-    alpha = float(alpha)
-    if not (0.0 <= alpha < math.pi):
-        raise OutOfRange(f"rotation angle {alpha} outside [0, pi)")
-    return alpha
+    return require_in("rotation angle", alpha, "[0, pi)", 0.0, math.pi)
 
 
 def characteristic_from_livsic(s: AnalyticFn, kappa: complex) -> AnalyticFn:

@@ -24,9 +24,21 @@ import numpy as np
 from . import _kernels
 from .core import (
     COUNTS, OVERFLOW_GUARD, AnalyticFn, FnKind, Record, evaluate_many, json_list, json_number,
+    require_kind,
 )
 from .errors import EmptyMeasure, OutOfRange, UsageError, WindowTooSmall
 from .moebius import MoebiusMap
+
+
+def require_window(name: str, x_lo: float, x_hi: float) -> tuple:
+    """(x_lo, x_hi) as floats, for a window with finite ends, x_lo < x_hi
+    and a finite width; OutOfRange, naming ``name``, otherwise."""
+    x_lo, x_hi = float(x_lo), float(x_hi)
+    # a finite width hi - lo rules out infinite and NaN ends too
+    if not (math.isfinite(x_hi - x_lo) and x_hi > x_lo):
+        raise OutOfRange(f"{name} {x_lo!r}:{x_hi!r} must be finite with lo < hi "
+                         f"and a finite width")
+    return x_lo, x_hi
 
 
 class SampledDensity(Record):
@@ -39,8 +51,7 @@ class SampledDensity(Record):
     __slots__ = ("x_lo", "x_hi", "values")
 
     def __init__(self, x_lo: float, x_hi: float, values: tuple):
-        if not x_hi > x_lo:
-            raise OutOfRange("density window must have x_hi > x_lo")
+        x_lo, x_hi = require_window("density window", x_lo, x_hi)
         vals = np.asarray(values, dtype=np.float64)
         if vals.ndim != 1 or vals.size < 3 or vals.size % 2 == 0:
             raise OutOfRange("density needs an odd sample count >= 3")
@@ -58,9 +69,6 @@ class SampledDensity(Record):
     def quadrature_weights(self) -> np.ndarray:
         """Simpson weights times sample values: ready-to-sum kernel weights."""
         return _kernels.simpson_weights(len(self.values), self.h) * np.asarray(self.values)
-
-    def mass(self) -> float:
-        return float(np.sum(self.quadrature_weights()))
 
 
 class BorelMeasureModel(Record):
@@ -101,12 +109,9 @@ class BorelMeasureModel(Record):
         |lam| above about 1.3e154, the term is 0, the integrand's limit, and
         no overflow warning is printed."""
         locs, ws = self.locations(), self.weights()
+        x, w = self._density_arrays()
         with np.errstate(over="ignore"):
-            total = float(np.sum(ws / (1.0 + locs**2))) if len(self.atoms) else 0.0
-            if self.density is not None:
-                x = self.density.lattice()
-                total += float(np.sum(self.density.quadrature_weights() / (1.0 + x**2)))
-        return total
+            return float(np.sum(ws / (1.0 + locs**2))) + float(np.sum(w / (1.0 + x**2)))
 
     @classmethod
     def from_json(cls, obj: dict) -> "BorelMeasureModel":
@@ -136,10 +141,10 @@ def realize_herglotz(mu: BorelMeasureModel) -> AnalyticFn:
     kernel is smooth at the probe heights used here, so fixed-order
     quadrature at the stored resolution is adequate).
     """
-    if len(mu.atoms) == 0 and (mu.density is None or mu.density.mass() == 0.0):
-        raise EmptyMeasure("measure has neither atoms nor density mass")
     locs, ws = mu.locations(), mu.weights()
     dx, dw = mu._density_arrays()
+    if len(locs) == 0 and float(np.sum(dw)) == 0.0:
+        raise EmptyMeasure("measure has neither atoms nor density mass")
     return AnalyticFn(
         evaluator=lambda zs: _kernels.herglotz_eval(locs, ws, dx, dw, zs),
         kind=FnKind.HERGLOTZ,
@@ -156,8 +161,7 @@ def normalization_defect(mu: BorelMeasureModel) -> float:
 
 def livsic_from_weyl(M: AnalyticFn) -> AnalyticFn:
     """Cayley transform s = (M - i)/(M + i) of a Herglotz function."""
-    if M.kind is not FnKind.HERGLOTZ:
-        raise ValueError("livsic_from_weyl expects a Herglotz-kind function")
+    require_kind(FnKind.HERGLOTZ, "livsic_from_weyl", M=M)
     # M(z) = -i is impossible for genuine Herglotz input
     return MoebiusMap.cayley().after(
         M, FnKind.LIVSIC, f"cayley({M.label})" if M.label else "cayley(M)"
@@ -175,22 +179,18 @@ class BoundedMinimum(Record):
 
 
 def minimize_scalar(func, bounds, xatol: float) -> BoundedMinimum:
-    """Minimize ``func`` over the closed interval ``bounds``, assuming that
-    it is a negative Lorentzian -w*eps/((x - lam)^2 + eps^2) near its
-    minimum, as -Im M(x + i*eps) is near an atom of weight w at lam.  Then
-    g = -1/func is a parabola with vertex lam: fit it through the bracket's
-    ends and midpoint, then again around that vertex at the spacing the
-    first fit implies (eps/sqrt(2) for a pure Lorentzian, floored at
-    ``xatol``), clamping each vertex to ``bounds``.  Where g is not convex,
-    or not positive and finite, the current point is kept.  At most six
-    evaluations, all counted in ``nfev``.  The name stays because the
-    benchmark tracer binds it.
+    """Minimize ``func`` over the closed interval ``bounds``, a window of
+    :func:`require_window`, assuming that it is a negative Lorentzian
+    -w*eps/((x - lam)^2 + eps^2) near its minimum, as -Im M(x + i*eps) is
+    near an atom of weight w at lam.  Then g = -1/func is a parabola with
+    vertex lam: fit it through the bracket's ends and midpoint, then again
+    around that vertex at the spacing the first fit implies (eps/sqrt(2) for
+    a pure Lorentzian, floored at ``xatol``), clamping each vertex to
+    ``bounds``.  Where g is not convex, or not positive and finite, the
+    current point is kept.  At most six evaluations, all counted in
+    ``nfev``.  The name stays because the benchmark tracer binds it.
     """
-    x1, x2 = (float(v) for v in bounds)
-    if not (math.isfinite(x1) and math.isfinite(x2)):
-        raise ValueError(f"bounds ({x1}, {x2}) must be finite")
-    if x1 > x2:
-        raise ValueError(f"lower bound {x1} exceeds upper bound {x2}")
+    x1, x2 = require_window("bounds", bounds[0], bounds[1])
     nfev = 0
 
     def g(x):
@@ -268,16 +268,11 @@ def stieltjes_invert(
     Raises WindowTooSmall when Im M at a window edge exceeds 10x the window
     median, i.e. when mass visibly leaks through the boundary.
     """
-    if M.kind is not FnKind.HERGLOTZ:
-        raise ValueError("stieltjes_invert expects a Herglotz-kind function")
+    require_kind(FnKind.HERGLOTZ, "stieltjes_invert", M=M)
     eps = np.asarray(list(eps_schedule), dtype=np.float64)
     if len(eps) < 2 or not np.all(np.isfinite(eps) & (eps > 0.0)) or np.any(np.diff(eps) >= 0.0):
         raise OutOfRange("eps_schedule must be >= 2 strictly decreasing finite positive reals")
-    x_lo, x_hi = float(window[0]), float(window[1])
-    # a finite width hi - lo rules out infinite and NaN ends too
-    if not (math.isfinite(x_hi - x_lo) and x_hi > x_lo):
-        raise OutOfRange(f"window {x_lo!r}:{x_hi!r} must be finite with lo < hi "
-                         f"and a finite width")
+    x_lo, x_hi = require_window("window", window[0], window[1])
     if n_scan < 5 or n_scan % 2 == 0:
         raise OutOfRange("n_scan must be odd and >= 5")
 

@@ -14,8 +14,20 @@ import math
 import numpy as np
 
 from .coupling import couple_livsic, coupling_angles
-from .core import AnalyticFn, EvaluationGrid, FnKind, Record, require_length, sup_deviation
+from .core import (
+    AnalyticFn, EvaluationGrid, FnKind, Record, require_in, require_length, sup_deviation,
+)
 from .errors import OutOfRange
+
+
+class _ClosedForm(AnalyticFn):
+    """A closed form of the interval model.  Its values lie in the unit disk,
+    so the pole guard rejects a value only where i ell z overflowed.  It sets
+    no ``__slots__``, so that Record's field list stays AnalyticFn's."""
+
+    def pole_message(self, z) -> str:
+        return (f"{self.label}: no finite value at z = {complex(z)} (|z| = {abs(z):.6g}): "
+                f"ell * z overflows a double")
 
 
 class ModelFunctions(Record):
@@ -51,12 +63,12 @@ def model_closed_forms(ell: float) -> ModelFunctions:
         e = np.expm1(1j * ell * zs)
         return (e - decay_m1) / (decay * e + decay_m1)
 
-    livsic = AnalyticFn(
+    livsic = _ClosedForm(
         evaluator=s_eval,
         kind=FnKind.LIVSIC,
         label=f"interval-model s[ell={ell}]",
     )
-    characteristic = AnalyticFn(
+    characteristic = _ClosedForm(
         evaluator=lambda zs: np.exp(1j * ell * zs),
         kind=FnKind.CHARACTERISTIC,
         label=f"interval-model S[ell={ell}]",
@@ -107,9 +119,7 @@ def split_interval_check(
     s = couple_livsic(s_ell1, s_ell2, coupling_angles(e^{-ell1}, e^{-ell2})).
     A wrong or swapped pair of parameters fails it."""
     ell = require_length(ell)
-    gamma = float(gamma_fraction)
-    if not (0.0 < gamma < 1.0):
-        raise OutOfRange(f"gamma_fraction = {gamma} outside (0, 1)")
+    gamma = require_in("gamma_fraction", gamma_fraction, "(0, 1)", 0.0, 1.0)
     ell1 = gamma * ell
     part1 = model_closed_forms(ell1)
     part2 = model_closed_forms(ell - ell1)

@@ -119,16 +119,20 @@ def model_livsic_quadrature(ell: float, z: complex) -> complex:
     end of the interval by composite Gauss-Legendre quadrature with a panel
     count scaled to |z + i| * ell.  Agrees with the closed form within
     QUADRATURE_TOL; raises QuadratureFailed when |z + i| * ell is too large
-    for the MAX_NODES budget (past about 4.37e4), and, as a guard, when J_+
-    underflows to 0.  A length below the smallest normal double, where J_+
-    can underflow, is an OutOfRange of :func:`require_length` that names the
-    length.
+    for the MAX_NODES budget (past about 4.37e4, or where |z + i| overflows
+    a double), and, as a guard, when J_+ underflows to 0.  A length below
+    the smallest normal double, where J_+ can underflow, is an OutOfRange of
+    :func:`require_length` that names the length.
     """
     ell = require_length(ell)
     z = require_upper(z)
     tol = QUADRATURE_TOL / 10.0
     b = -1j * z * ell
-    width = abs(z + 1j) * ell / PANEL_SPAN
+    try:
+        reach = abs(z + 1j) * ell
+    except OverflowError:  # |z + i| past the largest double
+        reach = math.inf
+    width = reach / PANEL_SPAN
     # past the budget, inf and NaN included, m starts too large to loop
     m = max(1, math.ceil(width)) if width <= MAX_NODES else MAX_NODES
     COUNTS["oracle.points"] += 1
@@ -144,5 +148,5 @@ def model_livsic_quadrature(ell: float, z: complex) -> complex:
         m *= 2
     raise QuadratureFailed(
         f"no convergence to {tol:.1e} within the {MAX_NODES}-node budget "
-        f"(|z + i| * ell = {abs(z + 1j) * ell:.4g}, z = {z}, ell = {ell})"
+        f"(|z + i| * ell = {reach:.4g}, z = {z}, ell = {ell})"
     )

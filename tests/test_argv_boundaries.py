@@ -14,6 +14,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import re
 import warnings
 
@@ -95,6 +96,9 @@ INVERT = "measure --atoms=1:1,-1:1 --invert"
 #: the rejection of a subnormal length, 5e-324, by name
 SUBNORMAL = (r"^error: interval length must be finite and positive, at least "
              r"2\.2250738585072014e-308 \(the smallest normal double\), got 5e-324$")
+#: the closed form at a point where ell * z overflows, naming ell, z and |z|
+OVERFLOW = r"^error: interval-model s\[ell={}\]: no finite value at z = {} \(\|z\| = {}\): " \
+    r"ell \* z overflows a double$"
 
 AXES = {
     "model-point": [f"model --length={ell} --eval={z}{oracle}" for ell, z, oracle
@@ -161,6 +165,20 @@ def test_every_argv_keeps_the_rule(axis):
      r"--eval: complex value '0\+1e-400i' underflows a double to 0"),
     ("model --length 1 --eval 1e-400+1i", 2,
      r"--eval: complex value '1e-400\+1i' underflows a double to 0"),
+    # ell * Re z overflows, so e^{i ell z} has no phase
+    ("model --length 1e300 --eval 1e300+1i", 2,
+     OVERFLOW.format(r"1e\+300", r"\(1e\+300\+1j\)", r"1e\+300")),
+    ("model --length 1.7e308 --eval -3+0.5i", 2,
+     OVERFLOW.format(r"1\.7e\+308", r"\(-3\+0\.5j\)", r"3\.04138")),
+    ("model --length 1.7e308 --eval 1e4+1e-8i --oracle", 2,
+     OVERFLOW.format(r"1\.7e\+308", r"\(10000\+1e-08j\)", "10000")),
+    # the smallest probe radius, 10, already overflows
+    ("check-class --length 1.7e308", 2,
+     OVERFLOW.format(r"1\.7e\+308", r"\(7\.0710678118654755\+7\.071067811865475j\)", "10")),
+    # |z + i| overflows a double: an infinite reach, past the node budget
+    ("model --length 1 --eval 1.7e308+1.7e308i --oracle", 2,
+     r"^error: no convergence.*\(\|z \+ i\| \* ell = inf, z = \(1\.7e\+308\+1\.7e\+308j\), "
+     r"ell = 1\.0\)$"),
 ], ids=["oracle-just-past-node-budget", "grid-spec", "check-class-source-conflict",
         "check-class-needs-a-source", "duplicate-atoms",
         "normalization-above-guard", "normalization-above-guard-check",
@@ -168,7 +186,9 @@ def test_every_argv_keeps_the_rule(axis):
         "kappa-on-circle", "pole-in-a-sweep", "subnormal-length-model",
         "subnormal-length-multiply", "subnormal-length-check-class",
         "subnormal-length-oracle-real", "subnormal-length-oracle-imag", "oracle-on-a-grid",
-        "overflowing-literal", "underflowing-imaginary-part", "underflowing-real-part"])
+        "overflowing-literal", "underflowing-imaginary-part", "underflowing-real-part",
+        "overflow-at-a-point", "overflow-at-the-top-length", "overflow-before-the-oracle",
+        "overflow-at-a-probe-radius", "oracle-reach-overflows"])
 def test_row(argv, code, pattern):
     check(argv, code, pattern)
 
@@ -188,6 +208,21 @@ def test_file_row(tmp_path, argv, content, pattern):
     check(argv.format(path), 2, pattern.replace("{}", re.escape(str(path))))
 
 
+@pytest.mark.parametrize("x_lo, x_hi, window", [
+    ("-1e308", "1e308", r"-1e\+308:1e\+308"), ("-Infinity", "2", "-inf:2.0")],
+    ids=["width-overflows", "infinite-end"])
+def test_density_window_file_row(tmp_path, x_lo, x_hi, window):
+    # the density's window is the inversion window's rule: one error line,
+    # and no numpy warning from a lattice over an infinite width
+    path = tmp_path / "measure.json"
+    path.write_text(f'{{"atoms": [{{"location": 0, "weight": 1}}], "density": '
+                    f'{{"x_lo": {x_lo}, "x_hi": {x_hi}, "values": [1, 1, 1]}}}}')
+    _, _, err = check(f"measure --measure-file {path}", 2,
+                      rf"^error: {re.escape(str(path))}: density window {window} must be "
+                      r"finite with lo < hi and a finite width$")
+    assert len(err.splitlines()) == 1, err
+
+
 def test_a_program_error_escapes_main(monkeypatch):
     # only a LivcalcError or an OSError exits 2; a bare ValueError is a bug
     def shape_mismatch(args):
@@ -205,8 +240,11 @@ def test_a_program_error_escapes_main(monkeypatch):
     (stieltjes_invert, (realize_herglotz(BorelMeasureModel(((0.0, 1.0),))), (-2, 2), (1, 0.1), 4)),
     (TaggedCharacteristic, (model_closed_forms(1.0).characteristic, 0.5)),
     (BorelMeasureModel, ((), SampledDensity(0.0, 1.0, (1e13, 1e13, 1e13)))),
+    (SampledDensity, (-math.inf, 2.0, (1.0, 1.0, 1.0))),
+    (SampledDensity, (-1e308, 1e308, (1.0, 1.0, 1.0))),
 ], ids=["grid", "json", "density", "angles", "rotation", "deficiency-element",
-        "split-fraction", "scan-count", "tag", "density-normalization"])
+        "split-fraction", "scan-count", "tag", "density-normalization",
+        "density-infinite-end", "density-width-overflows"])
 def test_library_rejection_is_typed(reject, args):
     with pytest.raises(LivcalcError):
         reject(*args)

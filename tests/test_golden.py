@@ -8,6 +8,8 @@ reason."""
 import json
 import pathlib
 import re
+import runpy
+import sys
 
 import pytest
 
@@ -72,3 +74,22 @@ def test_every_file_belongs_to_one_argv():
 @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
 def test_golden_output(argv):
     assert render(argv) == path_of(argv).read_text()
+
+
+@pytest.mark.parametrize("golden, code", [(GOLDEN, 0), (None, 1)], ids=["committed", "empty"])
+def test_rewrite_check_lists_what_would_change(monkeypatch, tmp_path, capsys, golden, code):
+    # --check against the committed files, and against an empty directory
+    # with one stale file, where it would add every file and delete one
+    if golden is None:
+        golden = tmp_path
+        (golden / "stale.json").write_text("{}\n")
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", golden)
+    monkeypatch.setattr(sys, "argv", ["rewrite.py", "--check"])
+    monkeypatch.setattr(sys, "path", list(sys.path))  # rewrite.py prepends to it
+    before = {path: path.read_bytes() for path in golden.glob("*")}
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(pathlib.Path(__file__).parent / "golden" / "rewrite.py"))
+    assert exit_.value.code == code
+    assert {path: path.read_bytes() for path in golden.glob("*")} == before
+    listed = capsys.readouterr().out.split()
+    assert listed == ([] if code == 0 else sorted(["stale.json"] + [path_of(a).name for a in ARGVS]))

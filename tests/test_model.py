@@ -176,6 +176,11 @@ class TestQuadratureOracle:
         with pytest.raises(QuadratureFailed):
             model_livsic_quadrature(2.0, 1e7 + 0.1j)
 
+    def test_overflowing_reach_is_past_the_budget(self):
+        # |z + i| overflows a double: an infinite reach, not an OverflowError
+        with pytest.raises(QuadratureFailed, match=r"\|z \+ i\| \* ell = inf"):
+            model_livsic_quadrature(1.0, 1.7e308 + 1.7e308j)
+
     def test_rejects_lower_halfplane(self):
         with pytest.raises(ValueError):
             model_livsic_quadrature(1.0, -1j)

@@ -77,9 +77,10 @@ def test_warm_oracle_sweep_misses_no_cached_rule():
 
 def added_counts(work) -> dict:
     """What ``work()`` adds to the program's own counts, ``core.COUNTS``."""
-    before = COUNTS.copy()
+    before = dict(COUNTS)
     work()
-    return dict(COUNTS - before)
+    added = {key: count - before.get(key, 0) for key, count in COUNTS.items()}
+    return {key: count for key, count in added.items() if count}
 
 
 def test_the_program_counts_its_own_work():
