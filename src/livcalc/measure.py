@@ -26,7 +26,7 @@ from .core import (
     COUNTS, OVERFLOW_GUARD, AnalyticFn, FnKind, Record, evaluate_many, json_list, json_number,
     require_kind,
 )
-from .errors import EmptyMeasure, OutOfRange, UsageError, WindowTooSmall
+from .errors import EmptyMeasure, OutOfRange, PoleEncountered, UsageError, WindowTooSmall
 from .moebius import MoebiusMap
 
 
@@ -266,7 +266,8 @@ def stieltjes_invert(
     density estimate.
 
     Raises WindowTooSmall when Im M at a window edge exceeds 10x the window
-    median, i.e. when mass visibly leaks through the boundary.
+    median, i.e. when mass visibly leaks through the boundary, and
+    OutOfRange, naming eps and x, where |M(x + i*eps)| passes the pole guard.
     """
     require_kind(FnKind.HERGLOTZ, "stieltjes_invert", M=M)
     eps = np.asarray(list(eps_schedule), dtype=np.float64)
@@ -276,11 +277,22 @@ def stieltjes_invert(
     if n_scan < 5 or n_scan % 2 == 0:
         raise OutOfRange("n_scan must be odd and >= 5")
 
+    def im_m(xs, e):
+        zs = np.asarray(xs) + 1j * e
+        try:
+            return evaluate_many(M, zs).imag
+        except PoleEncountered:
+            # the pole guard's message names z, not which input set it
+            with np.errstate(all="ignore"):
+                x = zs[~(np.abs(M.evaluator(zs)) <= OVERFLOW_GUARD)][0].real
+            raise OutOfRange(f"eps = {float(e)!r} at x = {float(x)!r}: |M(x + i*eps)| above "
+                             f"the pole guard {OVERFLOW_GUARD:g}") from None
+
     scan = np.linspace(x_lo, x_hi, n_scan)
     spacing = scan[1] - scan[0]
     imags = np.empty((len(eps), n_scan))
     for k, e in enumerate(eps):
-        imags[k] = evaluate_many(M, scan + 1j * e).imag
+        imags[k] = im_m(scan, e)
 
     finest = imags[-1]
     # n_scan is odd and every value finite: the middle element is the median
@@ -298,17 +310,11 @@ def stieltjes_invert(
     COUNTS["measure.candidates"] += peaks.size
     for i in peaks:
         bracket = (scan[i] - spacing, scan[i] + spacing)
-        refined = minimize_scalar(
-            lambda x: -evaluate_many(M, np.array([x + 1j * e_min]))[0].imag,
-            bounds=bracket,
-            xatol=1e-13,
-        )
+        refined = minimize_scalar(lambda x: -im_m([x], e_min)[0], bounds=bracket, xatol=1e-13)
         COUNTS["measure.refinements"] += 1
         COUNTS["measure.refine_evals"] += refined.nfev
         loc = float(refined.x)
-        mass = np.array(
-            [e * evaluate_many(M, np.array([loc + 1j * e]))[0].imag for e in eps]
-        )
+        mass = np.array([e * im_m([loc], e)[0] for e in eps])
         if mass[-1] <= 1e-6:
             continue
         # point mass: eps * Im M converges to the weight; density: it decays

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from test_argv_boundaries import run
+from test_argv_boundaries import ROWS, run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -69,6 +69,11 @@ def test_every_file_belongs_to_one_argv():
     paths = {path_of(argv) for argv in ARGVS}
     assert len(paths) == len(ARGVS)
     assert set(GOLDEN.glob("*.json")) == paths
+
+
+def test_no_hand_row_repeats_a_golden_argv():
+    # an argv has one home: its bytes here, or its exit code and pattern there
+    assert not {tuple(row[0].split()) for row in ROWS.values()} & set(map(tuple, ARGVS))
 
 
 @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
