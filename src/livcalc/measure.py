@@ -128,7 +128,7 @@ class BorelMeasureModel(Record):
                 tuple(json_number(values, k, "density values") for k in range(len(values))),
             )
             h = json_number(raw, "h", "density") if "h" in raw else dens.h
-            if abs(dens.h - h) > 1e-12 * max(1.0, dens.h):
+            if not abs(dens.h - h) <= 1e-12 * max(1.0, dens.h):  # a NaN h fails too
                 raise UsageError("density 'h' inconsistent with window and sample count")
         return cls(atoms, dens)
 

@@ -78,14 +78,20 @@ def model_closed_forms(ell: float) -> ModelFunctions:
 
 class DeficiencyElement(Record):
     """An explicit defect element of the interval model: a ``length``, an
-    ``evaluator`` from [0, length] to the complex numbers, and a ``label``."""
+    elementwise ``evaluator`` from [0, length] to the complex numbers, and a
+    ``label``.  It evaluates a point as a one-element array, as AnalyticFn does."""
 
     __slots__ = ("length", "evaluator", "label")
 
-    def __call__(self, x: float) -> complex:
-        if not (0.0 <= x <= self.length):
-            raise OutOfRange(f"x = {x} outside [0, {self.length}]")
-        return complex(self.evaluator(x))
+    def __call__(self, x):
+        """A ``complex`` at a point, a complex ndarray of the same shape over
+        an array; OutOfRange names the first point outside [0, length]."""
+        xs = np.asarray(x, dtype=np.float64).reshape(-1)
+        outside = ~((0.0 <= xs) & (xs <= self.length))
+        if outside.any():
+            raise OutOfRange(f"x = {float(xs[np.argmax(outside)])} outside [0, {self.length}]")
+        values = np.asarray(self.evaluator(xs), dtype=np.complex128)
+        return complex(values[0]) if np.ndim(x) == 0 else values.reshape(np.shape(x))
 
 
 def _normalizer(ell: float) -> float:
@@ -101,14 +107,14 @@ def g_plus(ell: float) -> DeficiencyElement:
     overflow at large ell."""
     ell = require_length(ell)
     c = _normalizer(ell)
-    return DeficiencyElement(ell, lambda x: c * math.exp(x - ell), f"g_plus[ell={ell}]")
+    return DeficiencyElement(ell, lambda xs: c * np.exp(xs - ell), f"g_plus[ell={ell}]")
 
 
 def g_minus(ell: float) -> DeficiencyElement:
     """g_-(x) = sqrt(2)/sqrt(1 - e^{-2 ell}) * e^{-x}, unit norm."""
     ell = require_length(ell)
     c = _normalizer(ell)
-    return DeficiencyElement(ell, lambda x: c * math.exp(-x), f"g_minus[ell={ell}]")
+    return DeficiencyElement(ell, lambda xs: c * np.exp(-xs), f"g_minus[ell={ell}]")
 
 
 def split_interval_check(

@@ -82,34 +82,19 @@ def reference_measures():
 
 def bundled_corpus() -> List[AnalyticFn]:
     """Sample functions of every kind for the class-property battery."""
-    m_origin, m_pair = reference_measures()
-    M1 = realize_herglotz(m_origin)
-    M2 = realize_herglotz(m_pair)
-    s_half = model_mod.model_closed_forms(0.5).livsic
-    s_one = model_mod.model_closed_forms(1.0).livsic
-    s_from_weyl = livsic_from_weyl(M2)
-    forms1 = model_mod.model_closed_forms(1.0)
-    forms2 = model_mod.model_closed_forms(2.0)
+    M1, M2 = map(realize_herglotz, reference_measures())
+    half, one, two = map(model_mod.model_closed_forms, (0.5, 1.0, 2.0))
     # a vanishing-parameter characteristic: -s has value 0 at i
     minus_s = AnalyticFn(
-        evaluator=lambda zs: -s_one.evaluator(zs),
+        evaluator=lambda zs: -one.livsic.evaluator(zs),
         kind=FnKind.CHARACTERISTIC,
         label="minus interval-model s[ell=1]",
     )
-    s_tagged = characteristic_from_livsic(s_half, 0.5)
-    # a complex parameter: a product tag that drops a conjugate misses (S1 S2)(i)
-    s_complex = characteristic_from_livsic(s_one, 0.3 + 0.4j)
     return [
-        M1,
-        M2,
-        s_half,
-        s_one,
-        s_from_weyl,
-        forms1.characteristic,
-        forms2.characteristic,
-        minus_s,
-        s_tagged,
-        s_complex,
+        M1, M2, half.livsic, one.livsic, livsic_from_weyl(M2), one.characteristic,
+        two.characteristic, minus_s, characteristic_from_livsic(half.livsic, 0.5),
+        # a complex parameter: a product tag that drops a conjugate misses (S1 S2)(i)
+        characteristic_from_livsic(one.livsic, 0.3 + 0.4j),
     ]
 
 
@@ -173,7 +158,7 @@ def norm_defect(elements: Iterable[model_mod.DeficiencyElement]) -> float:
     def defect(elem):
         panels = max(1, math.ceil(2.0 * elem.length / oracle_mod.PANEL_SPAN))
         nodes, weights = oracle_mod.composite_rule(panels)
-        values = np.array([abs(elem(x)) ** 2 for x in elem.length * nodes])
+        values = np.abs(elem(elem.length * nodes)) ** 2
         return abs(math.sqrt(elem.length * (values @ weights)) - 1.0)
 
     return worst_of(map(defect, elements))
@@ -183,9 +168,9 @@ def boundary_relation_defect(ells: Iterable[float]) -> float:
     """Worst defect of g_+(0) = e^{-ell} g_-(0) and
     g_+(0) - g_-(0) = g_-(ell) - g_+(ell) over the lengths."""
     def defects(ell):
-        gp, gm = model_mod.g_plus(ell), model_mod.g_minus(ell)
-        return (abs(gp(0.0) - math.exp(-ell) * gm(0.0)),
-                abs((gp(0.0) - gm(0.0)) + (gp(ell) - gm(ell))))
+        ends = np.array([0.0, ell])
+        (p0, p1), (m0, m1) = model_mod.g_plus(ell)(ends), model_mod.g_minus(ell)(ends)
+        return abs(p0 - math.exp(-ell) * m0), abs((p0 - m0) + (p1 - m1))
 
     return worst_of(d for ell in ells for d in defects(ell))
 

@@ -20,6 +20,7 @@ import math
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from livcalc import (
@@ -206,6 +207,7 @@ ROWS = {
                          "^error: --format csv applies to"),
     "kappa-out-of-range": ("couple --kappa1 1.5 --kappa2 0.5", 2,
                            r"^error: kappa1 = 1.5 outside \[0, 1\)"),
+    "degenerate-kappa2": ("couple --kappa1 0.5 --kappa2 0", 0, None),
     # the second model's length 2 * ell overflows; the user passed 1e308
     "second-length-overflows": ("couple --kappa1 0.5 --kappa2 0.5 --length 1e308", 2,
                                 r"^error: --length 1e\+308 .*2 \* ell overflows"),
@@ -270,28 +272,35 @@ _FILE_ERRORS = (
     ("top-level-list", b"[1, 2]", r"^error: {}: .*'(points|atoms)' is missing or not a list"),
     ("missing", None, r"^error: \[Errno 2\] No such file or directory: '{}'"),
 )
-#: id: (argv, the file's bytes or None for no file, pattern with {} for its path)
+#: id: (argv, the file's bytes or None for no file, exit code, pattern with {}
+#: for its path)
 FILE_ROWS = {
-    **{f"{name}-{error}": (argv, content, pattern)
+    **{f"{name}-{error}": (argv, content, 2, pattern)
        for name, argv in (("grid", "model --length 1 --grid file:{}"),
                           ("measure", "measure --measure-file {}"))
        for error, content, pattern in _FILE_ERRORS},
-    "grid-no-points": ("model --length 1 --grid file:{}", b"{}", r"^error: {}: .*'points'"),
+    "grid-no-points": ("model --length 1 --grid file:{}", b"{}", 2, r"^error: {}: .*'points'"),
     "grid-bad-point": ("model --length 1 --grid file:{}", b'{"points": [{"re": 0, "im": 1}, 3]}',
-                       r"^error: {}: .*point 1"),
-    "couple-grid-no-points": ("couple --kappa1 0.5 --kappa2 0.5 --grid file:{}", b"{}",
+                       2, r"^error: {}: .*point 1"),
+    "couple-grid-no-points": ("couple --kappa1 0.5 --kappa2 0.5 --grid file:{}", b"{}", 2,
                               r"^error: {}: .*'points'"),
-    "atom-no-weight": ("measure --measure-file {}", b'{"atoms": [{"location": 0}]}',
+    "atom-no-weight": ("measure --measure-file {}", b'{"atoms": [{"location": 0}]}', 2,
                        r"^error: {}: .*'weight'"),
+    "measure-file": ("measure --measure-file {} --check-normalization",
+                     b'{"atoms": [{"location": 0.0, "weight": 1.0}], "density": null}', 0, None),
+    # a NaN compares false both ways, so it must not pass the spacing test
+    "measure-h-nan": ("measure --measure-file {}", b'{"density": {"x_lo": -1, "x_hi": 1, '
+                      b'"values": [0, 0, 0], "h": NaN}}', 2,
+                      r"^error: {}: density 'h' inconsistent with window and sample count$"),
 }
 
 
-@pytest.mark.parametrize("argv, content, pattern", FILE_ROWS.values(), ids=list(FILE_ROWS))
-def test_file_row(tmp_path, argv, content, pattern):
+@pytest.mark.parametrize("argv, content, code, pattern", FILE_ROWS.values(), ids=list(FILE_ROWS))
+def test_file_row(tmp_path, argv, content, code, pattern):
     path = tmp_path / "input.json"
     if content is not None:
         path.write_bytes(content)
-    check(argv.format(path), 2, pattern.replace("{}", re.escape(str(path))))
+    check(argv.format(path), code, pattern and pattern.replace("{}", re.escape(str(path))))
 
 
 @pytest.mark.parametrize("x_lo, x_hi, window", [
@@ -319,7 +328,8 @@ def test_a_program_error_escapes_main(monkeypatch):
         run(["model", "--length", "1", "--eval", "0+2i"])
 
 
-@pytest.mark.parametrize("reject, args", [
+#: (rejecting callable, its arguments[, a pattern that the message must match])
+@pytest.mark.parametrize("row", [
     (EvaluationGrid, ((1j, 1j),)), (json_number, ({}, "re", "p")),
     (SampledDensity, (0.0, 1.0, (1.0, 1.0))), (CouplingAngles, (2.0, 0.0)),
     (ensure_rotation, (4.0,)), (g_plus(1.0), (2.0,)), (split_interval_check, (1.0, 1.5, None)),
@@ -328,9 +338,12 @@ def test_a_program_error_escapes_main(monkeypatch):
     (BorelMeasureModel, ((), SampledDensity(0.0, 1.0, (1e13, 1e13, 1e13)))),
     (SampledDensity, (-math.inf, 2.0, (1.0, 1.0, 1.0))),
     (SampledDensity, (-1e308, 1e308, (1.0, 1.0, 1.0))),
+    # an array call names the one point outside [0, length]
+    (g_plus(1.0), (np.array([0.0, 0.5, 1.5, 1.0]),), r"^x = 1\.5 outside \[0, 1\.0\]$"),
 ], ids=["grid", "json", "density", "angles", "rotation", "deficiency-element",
         "split-fraction", "scan-count", "tag", "density-normalization",
-        "density-infinite-end", "density-width-overflows"])
-def test_library_rejection_is_typed(reject, args):
-    with pytest.raises(LivcalcError):
+        "density-infinite-end", "density-width-overflows", "deficiency-element-array"])
+def test_library_rejection_is_typed(row):
+    reject, args, *pattern = row
+    with pytest.raises(LivcalcError, match=pattern[0] if pattern else None):
         reject(*args)

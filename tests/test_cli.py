@@ -112,9 +112,6 @@ class TestCoupleVerb:
         assert got["pass"] is True
         assert float(got["max_deviation"]) < 1e-10
 
-    def test_degenerate_kappa2(self):
-        check("couple --kappa1 0.5 --kappa2 0", 0)
-
 
 class TestDiskEdge:
     # |kappa| = 1 - 2^-53: the disk automorphism's determinant is -2.2e-16
@@ -140,13 +137,6 @@ class TestMeasureVerb:
         got = report("measure --atoms 1:1 --check-normalization", 1)
         assert abs(float(got["defect"]) - 0.5) < 1e-15
 
-    def test_measure_file(self, tmp_path):
-        measure_file = tmp_path / "mu.json"
-        measure_file.write_text(
-            json.dumps({"atoms": [{"location": 0.0, "weight": 1.0}], "density": None})
-        )
-        check(f"measure --measure-file {measure_file} --check-normalization", 0)
-
     @pytest.mark.parametrize("flags, exit_code", [((), 0), (("--check-normalization",), 1)])
     def test_far_atom_warns_nothing(self, flags, exit_code):
         # lam^2 overflows beyond |lam| of about 1.3e154; 1/(1 + lam^2) is 0
@@ -158,55 +148,62 @@ class TestMeasureVerb:
         assert [(a["location"], a["weight"]) for a in atoms] == [("0", "1")]
 
 
-#: Prints the sorted names of the loaded modules that livcalc's runtime must
-#: not need: scipy, and the numpy subpackages numpy loads only on first use.
-_PRINT_FOOTPRINT = (
-    "print(sorted(m for m in sys.modules\n"
-    "             if m.split('.')[0] == 'scipy' or m.split('.')[:2] in\n"
-    "             (['numpy', 'random'], ['numpy', 'ma'], ['numpy', 'polynomial'])))"
+#: The sorted names of the loaded modules that livcalc's runtime must not
+#: need: scipy, and the numpy subpackages numpy loads only on first use.
+_FOOTPRINT = (
+    "sorted(m for m in sys.modules\n"
+    "       if m.split('.')[0] == 'scipy' or m.split('.')[:2] in\n"
+    "       (['numpy', 'random'], ['numpy', 'ma'], ['numpy', 'polynomial']))"
 )
+#: one argv per verb
+VERBS = ("model --length 1 --eval 0+2i --oracle", "multiply --kappa1 0.5 --kappa2 0.3",
+         "couple --kappa1 0.5 --kappa2 0.5 --check nunu", "add --alpha 0",
+         "measure --atoms=1:1,-1:1 --invert", "check-class --length 1", "verify-all")
+
+
+@pytest.fixture(scope="class")
+def cold_footprints():
+    """One cold process: the footprint after ``import livcalc.cli``, then
+    after each verb of VERBS in turn; maps what ran to [exit code, footprint].
+
+    The footprints accumulate, so a verb that loads a module fails its own id
+    and every later one; the culprit is the first id in VERBS order."""
+    script = (
+        "import json, sys\n"
+        "import livcalc.cli\n"
+        f"def footprint():\n    return {_FOOTPRINT}\n"
+        "print(json.dumps(['import livcalc.cli', 0, footprint()]), file=sys.stderr)\n"
+        f"for argv in {VERBS!r}:\n"
+        "    code = livcalc.cli.main(argv.split())\n"
+        "    print(json.dumps([argv, code, footprint()]), file=sys.stderr)\n"
+    )
+    done = run_cold("-c", script)
+    assert done.returncode == 0, done.stderr
+    rows = [json.loads(line) for line in done.stderr.splitlines()]
+    assert [argv for argv, _, _ in rows] == ["import livcalc.cli", *VERBS]
+    return {argv: rest for argv, *rest in rows}
 
 
 class TestColdStart:
-    #: one argv per verb; no verb imports scipy, numpy.random, numpy.ma or
-    #: numpy.polynomial
-    @pytest.mark.parametrize("argv", [
-        "model --length 1 --eval 0+2i --oracle",
-        "multiply --kappa1 0.5 --kappa2 0.3",
-        "couple --kappa1 0.5 --kappa2 0.5 --check nunu",
-        "add --alpha 0",
-        "measure --atoms=1:1,-1:1 --invert",
-        "check-class --length 1",
-        "verify-all",
-    ], ids=lambda argv: argv.split()[0])
-    def test_pointwise_verb_does_not_import_scipy(self, argv):
-        script = (
-            "import sys\n"
-            "import livcalc.cli\n"
-            f"code = livcalc.cli.main({argv.split()!r})\n"
-            "print(code)\n"
-            + _PRINT_FOOTPRINT
-        )
-        done = run_cold("-c", script)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip().splitlines()[-2:] == ["0", "[]"]
+    def test_cli_import_loads_neither_scipy_nor_numpy_polynomial(self, cold_footprints):
+        assert cold_footprints["import livcalc.cli"] == [0, []]
+
+    #: no verb imports scipy, numpy.random, numpy.ma or numpy.polynomial
+    @pytest.mark.parametrize("argv", VERBS, ids=lambda argv: argv.split()[0])
+    def test_pointwise_verb_does_not_import_scipy(self, argv, cold_footprints):
+        assert cold_footprints[argv] == [0, []]
 
     def test_footprint_probe_sees_each_subpackage(self):
         script = (
             "import sys\n"
             "import numpy as np\n"
             "np.random.default_rng, np.ma.masked, np.polynomial.Polynomial\n"
-            + _PRINT_FOOTPRINT
+            f"print({_FOOTPRINT})\n"
         )
         done = run_cold("-c", script)
         assert done.returncode == 0, done.stderr
         loaded = done.stdout.strip()
         assert all(f"'numpy.{sub}'" in loaded for sub in ("random", "ma", "polynomial"))
-
-    def test_cli_import_loads_neither_scipy_nor_numpy_polynomial(self):
-        done = run_cold("-c", "import sys\nimport livcalc.cli\n" + _PRINT_FOOTPRINT)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
 
     def test_cli_import_generates_no_dataclass(self):
         # numpy does not load dataclasses, so any load here is livcalc's

@@ -113,14 +113,6 @@ class TestCouplingAngles:
 
 
 class TestCoupleLivsic:
-    def test_collapse_to_first(self):
-        coupled = couple_livsic(S_HALF, S_ONE, CouplingAngles(0.0, 0.0))
-        assert sup_deviation(coupled, S_HALF, GRID) < 1e-14
-
-    def test_collapse_to_second(self):
-        coupled = couple_livsic(S_HALF, S_ONE, CouplingAngles(math.pi / 2, math.pi / 2))
-        assert sup_deviation(coupled, S_ONE, GRID) < 1e-14
-
     def test_output_vanishes_at_i(self):
         for k1, k2 in ((0.3, 0.7), (0.0, 0.4), (0.5, 0.0)):
             coupled = couple_livsic(S_HALF, S_ONE, coupling_angles(k1, k2))

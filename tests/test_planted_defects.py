@@ -67,7 +67,7 @@ def refined_to_bracket_edge(func, bounds, xatol):
 def g_plus_without_decay(ell):
     # e^x for e^{x - ell}: g_+ grows by e^ell and loses its unit norm
     c = normalizer(ell)
-    return model_mod.DeficiencyElement(ell, lambda x: c * math.exp(x), f"g_plus[ell={ell}]")
+    return model_mod.DeficiencyElement(ell, lambda xs: c * np.exp(xs), f"g_plus[ell={ell}]")
 
 
 def nudged_automorphism(cls, kappa):
