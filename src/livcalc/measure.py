@@ -22,10 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .core import (
-    COUNTS, OVERFLOW_GUARD, AnalyticFn, FnKind, Record, evaluate_many, json_list, json_number,
-    require_kind,
-)
+from .core import (COUNTS, OVERFLOW_GUARD, AnalyticFn, FnKind, Record, evaluate_many, json_list,
+                   json_number, require_kind)
 from .errors import EmptyMeasure, OutOfRange, PoleEncountered, UsageError, WindowTooSmall
 from .moebius import MoebiusMap
 
@@ -178,14 +176,17 @@ class BoundedMinimum(Record):
     __slots__ = ("x", "nfev")
 
 
-def minimize_scalar(func, bounds, xatol: float) -> BoundedMinimum:
+XATOL = 1e-13
+
+
+def minimize_scalar(func, bounds) -> BoundedMinimum:
     """Minimize ``func`` over the closed interval ``bounds``, a window of
     :func:`require_window`, assuming that it is a negative Lorentzian
     -w*eps/((x - lam)^2 + eps^2) near its minimum, as -Im M(x + i*eps) is
     near an atom of weight w at lam.  Then g = -1/func is a parabola with
     vertex lam: fit it through the bracket's ends and midpoint, then again
     around that vertex at the spacing the first fit implies (eps/sqrt(2) for
-    a pure Lorentzian, floored at ``xatol``), clamping each vertex to
+    a pure Lorentzian, floored at :data:`XATOL`), clamping each vertex to
     ``bounds``.  Where g is not convex, or not positive and finite, the
     current point is kept.  At most six evaluations, all counted in
     ``nfev``.  The name stays because the benchmark tracer binds it.
@@ -213,7 +214,7 @@ def minimize_scalar(func, bounds, xatol: float) -> BoundedMinimum:
     if mid > 0.0:
         x, curve = fit(x, h, mid)
         if curve is not None and (mid := g(x)) > 0.0:
-            x, _ = fit(x, min(max(h * math.sqrt(mid / curve), xatol), h), mid)
+            x, _ = fit(x, min(max(h * math.sqrt(mid / curve), XATOL), h), mid)
     return BoundedMinimum(float(x), nfev)
 
 
@@ -267,7 +268,8 @@ def stieltjes_invert(
 
     Raises WindowTooSmall when Im M at a window edge exceeds 10x the window
     median, i.e. when mass visibly leaks through the boundary, and
-    OutOfRange, naming eps and x, where |M(x + i*eps)| passes the pole guard.
+    OutOfRange, naming eps and x, where |M(x + i*eps)| passes the pole guard,
+    or naming the window, where its n_scan points do not strictly increase.
     """
     require_kind(FnKind.HERGLOTZ, "stieltjes_invert", M=M)
     eps = np.asarray(list(eps_schedule), dtype=np.float64)
@@ -289,6 +291,8 @@ def stieltjes_invert(
                              f"the pole guard {OVERFLOW_GUARD:g}") from None
 
     scan = np.linspace(x_lo, x_hi, n_scan)
+    if not np.all(np.diff(scan) > 0.0):
+        raise OutOfRange(f"window {x_lo!r}:{x_hi!r} too narrow for n_scan = {n_scan} scan points")
     spacing = scan[1] - scan[0]
     imags = np.empty((len(eps), n_scan))
     for k, e in enumerate(eps):
@@ -310,7 +314,7 @@ def stieltjes_invert(
     COUNTS["measure.candidates"] += peaks.size
     for i in peaks:
         bracket = (scan[i] - spacing, scan[i] + spacing)
-        refined = minimize_scalar(lambda x: -im_m([x], e_min)[0], bounds=bracket, xatol=1e-13)
+        refined = minimize_scalar(lambda x: -im_m([x], e_min)[0], bounds=bracket)
         COUNTS["measure.refinements"] += 1
         COUNTS["measure.refine_evals"] += refined.nfev
         loc = float(refined.x)

@@ -8,8 +8,11 @@
 The generated argvs put each verb's parameters at their extremes and check
 the rule; the hand rows (:data:`ROWS` and :data:`FILE_ROWS`) also pin the
 exit code and a pattern that names the rejected input.  An argv has one
-home: its exact bytes in test_golden.py, or its row here.  The last rows
-call the library directly, where no argv reaches a rejection.
+home: its exact bytes in test_golden.py, or its row here.  The last two
+tables call the library directly.  A row of :data:`LIBRARY_ROWS` is an input
+rejection that no argv pins; it must raise a LivcalcError.  A row of
+:data:`PROGRAM_ERRORS` is a call that only a program error makes; it must
+raise an exception that is not a LivcalcError.
 """
 
 import contextlib
@@ -24,12 +27,17 @@ import numpy as np
 import pytest
 
 from livcalc import (
-    BorelMeasureModel, CouplingAngles, EvaluationGrid, LivcalcError, SampledDensity,
-    TaggedCharacteristic, cli, g_plus, model_closed_forms, realize_herglotz,
-    split_interval_check, stieltjes_invert,
+    BorelMeasureModel, CouplingAngles, EvaluationGrid, FnKind, LivcalcError, MoebiusMap,
+    SampledDensity, TaggedCharacteristic, _kernels, add_weyl, cli, constant_fn, couple_livsic,
+    default_grid, evaluate_many, extract_kappa, g_minus, g_plus,
+    general_k_identity_defect, livsic_from_weyl, model_closed_forms, model_livsic_quadrature,
+    realize_herglotz, reference_change_livsic, split_interval_check, stieltjes_invert,
+    verify_class_properties,
 )
-from livcalc.core import json_number
+from livcalc.core import json_number, to_json, worst_of
+from livcalc.coupling import convexity_defects
 from livcalc.extension import ensure_rotation
+from livcalc.verify import bundled_corpus
 
 #: stderr's last line on exit 2: argparse's error, or the program's own
 ERROR_LINE = re.compile(r"(livcalc( [\w-]+)?: )?error: ")
@@ -151,12 +159,15 @@ ROWS = {
                                    "one of the arguments --length --probe is required"),
     "duplicate-atoms": ("measure --atoms=0:1,0:1", 2,
                         "^error: atom locations must be pairwise distinct"),
+    "zero-weight-atom": ("measure --atoms=0:0", 2, "^error: atom weights must be strictly"),
     "normalization-above-guard": ("measure --atoms=0:1e300", 2, ABOVE_GUARD),
     "normalization-above-guard-check": ("measure --atoms=0:1e300 --check-normalization", 2,
                                         ABOVE_GUARD),
     "normalization-above-guard-invert": ("measure --atoms=0:1e300 --invert", 2, ABOVE_GUARD),
     "normalization-at-guard": ("measure --atoms=0:1e12", 0, r'"im": "1000000000000"'),
     "one-eps": (f"{INVERT} --eps=0.01", 2, "^error: eps_schedule must be"),
+    **{f"eps-{name}": (f"{INVERT} --eps={eps}", 2, "^error: eps_schedule must be")
+       for name, eps in (("increasing", "0.001,0.01"), ("nan", "0.01,nan"), ("inf", "inf,0.01"))},
     "kappa-at-one": ("couple --kappa1 0.5 --kappa2 1", 2, r"^error: kappa2 = 1.0 outside \[0, 1\)"),
     "kappa-on-circle": ("multiply --kappa1 1 --kappa2 0.5", 2,
                         r"^error: .*needs \|kappa\| < 1, got \|\(1\+0j\)\|"),
@@ -215,6 +226,16 @@ ROWS = {
     "window-minus-inf": (f"{INVERT} --window=-inf:2", 2, "^error: window"),
     "window-inf": (f"{INVERT} --window=-2:inf", 2, "^error: window"),
     "window-width-overflows": (f"{INVERT} --window=-1e308:1e308", 2, "^error: window"),
+    "window-reversed": (f"{INVERT} --window=2:-2", 2, "^error: window 2.0:-2.0 must be finite"),
+    # fewer than n_scan doubles apart: the scan lattice would not strictly increase
+    "window-narrower-than-the-scan": (
+        "measure --atoms=0:1 --invert --window=1e300:1.0000000000001e300", 2,
+        r"^error: window 1e\+300:1\.0000000000001e\+300 too narrow for n_scan = 2001 "),
+    "window-narrower-than-the-scan-at-3": (
+        "measure --atoms=0:1 --invert --window=-3:-2.9999999999999", 2,
+        r"^error: window -3\.0:-2\.9999999999999 too narrow for n_scan = 2001 "),
+    "window-leaks-mass": ("measure --atoms=0:1 --invert --window=-2:0.05", 2,
+                          r"^error: Im M at window edge \(0\.04\) exceeds 10x"),
     "measure-needs-a-source": ("measure", 2,
                                "one of the arguments --atoms --measure-file is required"),
     "measure-source-conflict": ("measure --atoms 0:1 --measure-file mu.json", 2,
@@ -252,6 +273,9 @@ ROWS = {
                                 r"^error: kappa1.*-0\.001"),
     # one line naming the parameter, not a pole or a math domain error
     "non-finite-length-eval": ("model --length inf --eval 0+1i", 2, INF_LENGTH),
+    "nan-length-eval": ("model --length nan --eval 0+1i", 2, INF_LENGTH),
+    "point-on-the-real-axis": ("model --length 1 --eval 1+0i", 2,
+                               r"^error: point \(1\+0j\) is not in the open upper half-plane$"),
     "non-finite-length-grid": ("model --length inf --grid default", 2, INF_LENGTH),
     "non-finite-length-couple": ("couple --kappa1 0.5 --kappa2 0.5 --length inf", 2, INF_LENGTH),
     "non-finite-length-check-class": ("check-class --length inf", 2, INF_LENGTH),
@@ -328,22 +352,88 @@ def test_a_program_error_escapes_main(monkeypatch):
         run(["model", "--length", "1", "--eval", "0+2i"])
 
 
-#: (rejecting callable, its arguments[, a pattern that the message must match])
-@pytest.mark.parametrize("row", [
-    (EvaluationGrid, ((1j, 1j),)), (json_number, ({}, "re", "p")),
-    (SampledDensity, (0.0, 1.0, (1.0, 1.0))), (CouplingAngles, (2.0, 0.0)),
-    (ensure_rotation, (4.0,)), (g_plus(1.0), (2.0,)), (split_interval_check, (1.0, 1.5, None)),
-    (stieltjes_invert, (realize_herglotz(BorelMeasureModel(((0.0, 1.0),))), (-2, 2), (1, 0.1), 4)),
-    (TaggedCharacteristic, (model_closed_forms(1.0).characteristic, 0.5)),
-    (BorelMeasureModel, ((), SampledDensity(0.0, 1.0, (1e13, 1e13, 1e13)))),
-    (SampledDensity, (-math.inf, 2.0, (1.0, 1.0, 1.0))),
-    (SampledDensity, (-1e308, 1e308, (1.0, 1.0, 1.0))),
+#: the interval length rule, as g_+ and g_- state it
+LENGTH_RULE = "^interval length must be finite and positive"
+S_ONE, M_ORIGIN = model_closed_forms(1.0).livsic, realize_herglotz(BorelMeasureModel(((0.0, 1.0),)))
+GRID = default_grid()
+
+#: id: (rejecting callable, its arguments[, a pattern that the message must
+#: match]), for the rejections that no argv reaches or that no row pins
+LIBRARY_ROWS = {
+    "grid": (EvaluationGrid, ((1j, 1j),)),
+    # duplicates apart, and 0.0 against -0.0 (equal values) next to each other and apart
+    **{f"grid-{name}": (EvaluationGrid, (points,), "^grid points must be pairwise distinct$")
+       for name, points in (
+           ("duplicates-apart", (2 + 1j, 1j, 3 + 1j, 2 + 1j)),
+           ("signed-zero", (complex(0.0, 1.0), 2j, complex(-0.0, 1.0))),
+           ("signed-zero-apart", (complex(-0.0, 1.0), 1 + 2j, complex(0.0, 1.0),
+                                  complex(-0.0, 3.0))))},
+    "grid-empty": (EvaluationGrid, ((),), "^grid must be nonempty$"),
+    "grid-off-the-half-plane": (EvaluationGrid, ((1j, 1 - 1j),), r"^point \(1-1j\) is not"),
+    "array-call-off-the-half-plane": (evaluate_many, (constant_fn(0.0), np.array([1j, -1j]))),
+    "json": (json_number, ({}, "re", "p")),
+    "density": (SampledDensity, (0.0, 1.0, (1.0, 1.0))),
+    "density-negative": (SampledDensity, (0.0, 1.0, (1.0, -0.1, 1.0)), "finite and nonnegative"),
+    "empty-measure": (realize_herglotz, (BorelMeasureModel(()),), "neither atoms nor density"),
+    "angles": (CouplingAngles, (2.0, 0.0)),
+    "general-k": (general_k_identity_defect, (1.0, S_ONE, S_ONE, CouplingAngles(0.5, 0.5), GRID),
+                  r"^k = 1\.0 outside \[0, 1\)$"),
+    "rotation": (ensure_rotation, (4.0,)),
+    "rotation-at-pi": (reference_change_livsic, (S_ONE, math.pi), r"outside \[0, pi\)$"),
+    # |kappa| = 1 off the real axis, and |kappa| > 1: the CLI takes only real kappas
+    "kappa-on-circle-imaginary": (MoebiusMap.disk_automorphism, (1j,), r"needs \|kappa\| < 1"),
+    "not-contractive": (extract_kappa, (constant_fn(1.5, FnKind.CHARACTERISTIC),), r"1\.5 >= 1$"),
+    "degenerate-map": (MoebiusMap, (1.0, 2.0, 2.0, 4.0), "is zero$"),
+    "deficiency-element": (g_plus(1.0), (2.0,)),
+    **{f"{build.__name__}-length-{ell}": (build, (ell,), LENGTH_RULE)
+       for build in (g_plus, g_minus) for ell in (math.inf, math.nan)},
+    # the oracle's own half-plane check: the CLI builds the closed forms first
+    "oracle-off-the-half-plane": (model_livsic_quadrature, (1.0, -1j), "upper half-plane$"),
+    "split-fraction": (split_interval_check, (1.0, 1.5, None)),
+    "scan-count": (stieltjes_invert, (M_ORIGIN, (-2, 2), (1, 0.1), 4)),
+    "tag": (TaggedCharacteristic, (model_closed_forms(1.0).characteristic, 0.5)),
+    "density-normalization": (BorelMeasureModel, ((), SampledDensity(0.0, 1.0, (1e13,) * 3))),
+    "density-infinite-end": (SampledDensity, (-math.inf, 2.0, (1.0, 1.0, 1.0))),
+    "density-width-overflows": (SampledDensity, (-1e308, 1e308, (1.0, 1.0, 1.0))),
     # an array call names the one point outside [0, length]
-    (g_plus(1.0), (np.array([0.0, 0.5, 1.5, 1.0]),), r"^x = 1\.5 outside \[0, 1\.0\]$"),
-], ids=["grid", "json", "density", "angles", "rotation", "deficiency-element",
-        "split-fraction", "scan-count", "tag", "density-normalization",
-        "density-infinite-end", "density-width-overflows", "deficiency-element-array"])
+    "deficiency-element-array": (g_plus(1.0), (np.array([0.0, 0.5, 1.5, 1.0]),),
+                                 r"^x = 1\.5 outside \[0, 1\.0\]$"),
+}
+
+
+@pytest.mark.parametrize("row", LIBRARY_ROWS.values(), ids=list(LIBRARY_ROWS))
 def test_library_rejection_is_typed(row):
     reject, args, *pattern = row
     with pytest.raises(LivcalcError, match=pattern[0] if pattern else None):
         reject(*args)
+
+
+#: id: (callable, its arguments, exception type, pattern): a call that only
+#: a program error makes, so its exception is not a LivcalcError (errors.py)
+PROGRAM_ERRORS = {
+    "couple-kind": (couple_livsic, (M_ORIGIN, S_ONE, CouplingAngles(0.1, 0.1)), ValueError,
+                    "Livsic-kind"),
+    "add-kind": (add_weyl, (S_ONE, M_ORIGIN, 0.5), ValueError, "Herglotz-kind"),
+    "convexity-first-kind": (convexity_defects, (S_ONE, M_ORIGIN, (0.5,), GRID), ValueError,
+                             "Herglotz-kind"),
+    "convexity-second-kind": (convexity_defects, (M_ORIGIN, S_ONE, (0.5,), GRID), ValueError,
+                              "Herglotz-kind"),
+    "cayley-kind": (livsic_from_weyl, (constant_fn(0.5),), ValueError, "Herglotz-kind"),
+    "tag-kind": (TaggedCharacteristic, (S_ONE, 0.0), ValueError, "Characteristic-kind"),
+    "worst-of-nothing": (worst_of, (iter([]),), ValueError, "no deviations"),
+    # a sweep over no pair would read a vacuous 0
+    "law-without-a-pair": (verify_class_properties, (
+        [f for f in bundled_corpus() if f.kind is not FnKind.HERGLOTZ], GRID), ValueError,
+        "herglotz-convexity"),
+    **{f"to-json-{name}": (to_json, (value,), TypeError, "no JSON form")
+       for name, value in (("int", 1), ("array", np.array([1.0])), ("object", object()))},
+    "simpson-odd-panels": (_kernels.simpson_exp, (1.0, 1.0, 7), ValueError, "must be even"),
+}
+
+
+@pytest.mark.parametrize("reject, args, kind, pattern", PROGRAM_ERRORS.values(),
+                         ids=list(PROGRAM_ERRORS))
+def test_program_error_is_not_typed(reject, args, kind, pattern):
+    with pytest.raises(kind, match=pattern) as raised:
+        reject(*args)
+    assert not isinstance(raised.value, LivcalcError)

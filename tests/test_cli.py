@@ -12,12 +12,19 @@ from test_argv_boundaries import check, run
 from test_golden import path_of
 
 import livcalc
+from livcalc import oracle
 from livcalc.cli import build_parser, parse_atoms, parse_complex
 
 
 def report(argv: str, code: int = 0) -> dict:
     """The JSON report of ``argv``, which must exit with ``code``."""
     return json.loads(check(argv, code)[1])
+
+
+def golden(argv) -> tuple:
+    """(exit code, stdout, stderr) that the golden file of ``argv`` pins."""
+    pinned = json.loads(path_of(argv).read_text())
+    return pinned["exit"], "".join(pinned["stdout"]), "".join(pinned["stderr"])
 
 
 def run_cold(*args):
@@ -57,11 +64,10 @@ class TestParsing:
 
     def test_shared_parser_leaks_no_defaults(self):
         # a call after one with --check formula1 reads the default nunu again
-        argv = ("couple", "--kappa1", "0.5", "--kappa2", "0.5")
-        alone = run_cold("-m", "livcalc.cli", *argv)
+        argv = ["couple", "--kappa1", "0.5", "--kappa2", "0.5"]
         assert run([*argv, "--check", "formula1"])[0] == 0
-        assert run(argv) == (alone.returncode, alone.stdout, alone.stderr)
-        assert json.loads(alone.stdout)["check"] == "nunu"
+        assert run(argv) == golden(argv)
+        assert json.loads(golden(argv)[1])["check"] == "nunu"
 
     def test_shared_parser_survives_a_usage_error(self):
         assert run(["model"])[0] == 2
@@ -99,10 +105,10 @@ class TestModelVerb:
         # |z + i| * ell = 4.3e4, just inside the node budget
         "model --length 1 --eval 43000+1i --oracle",
     ], ids=["ell-1000", "ell-700", "budget-edge"])
-    def test_cold_oracle_at_large_length(self, argv):
-        done = run_cold("-m", "livcalc.cli", *argv.split())
-        assert done.returncode == 0, done.stderr
-        assert float(json.loads(done.stdout)["oracle_deviation"]) < 1e-8
+    def test_oracle_at_large_length(self, argv):
+        deviation = report(argv)["oracle_deviation"]
+        oracle._panel_rule.cache_clear()  # the budget edge's rules take about 16 MB
+        assert float(deviation) < 1e-8
 
 
 class TestCoupleVerb:
@@ -146,6 +152,14 @@ class TestMeasureVerb:
         # (x - location)^2 overflows at the window's ends; the kernel there is 0
         atoms = report("measure --atoms=0:1 --invert --window=-1e300:1e300")["recovered_atoms"]
         assert [(a["location"], a["weight"]) for a in atoms] == [("0", "1")]
+
+    def test_inversion_keeps_both_atoms_at_fine_eps(self):
+        atoms = report("measure --atoms=0.123456:1,1.5:0.5 --invert --eps 1e-8,1e-9")[
+            "recovered_atoms"]
+        assert len(atoms) == 2
+        for atom, (loc, w) in zip(atoms, ((0.123456, 1.0), (1.5, 0.5))):
+            assert abs(float(atom["location"]) - loc) < 1e-10
+            assert abs(float(atom["weight"]) - w) < 0.02 * w
 
 
 #: The sorted names of the loaded modules that livcalc's runtime must not
@@ -223,27 +237,6 @@ class TestColdStart:
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["False", "[]"]
 
-    def test_cold_inversion_recovers_both_atoms(self):
-        done = run_cold("-m", "livcalc.cli", "measure", "--atoms=1:1,-1:1", "--invert")
-        assert done.returncode == 0, done.stderr
-        report = json.loads(done.stdout)
-        atoms = report["recovered_atoms"]
-        spacing = float(report["scan_spacing"])
-        assert len(atoms) == 2
-        for atom, loc in zip(atoms, (-1.0, 1.0)):
-            assert abs(float(atom["location"]) - loc) <= spacing
-            assert abs(float(atom["weight"]) - 1.0) < 0.02
-
-    def test_cold_inversion_keeps_both_atoms_at_fine_eps(self):
-        done = run_cold("-m", "livcalc.cli", "measure", "--atoms=0.123456:1,1.5:0.5",
-                        "--invert", "--eps", "1e-8,1e-9")
-        assert done.returncode == 0, done.stderr
-        atoms = json.loads(done.stdout)["recovered_atoms"]
-        assert len(atoms) == 2
-        for atom, (loc, w) in zip(atoms, ((0.123456, 1.0), (1.5, 0.5))):
-            assert abs(float(atom["location"]) - loc) < 1e-10
-            assert abs(float(atom["weight"]) - w) < 0.02 * w
-
 
 class TestEntryPoint:
     """``cli.run`` is the one process entry point; it freezes the import-time
@@ -255,10 +248,8 @@ class TestEntryPoint:
         "model --length 1 --eval 0-1i",
     ], ids=lambda argv: argv.split()[0])
     def test_cold_entry_keeps_the_golden_bytes(self, argv):
-        golden = json.loads(path_of(argv.split()).read_text())
         done = run_cold("-m", "livcalc.cli", *argv.split())
-        assert (done.returncode, done.stdout, done.stderr) == (
-            golden["exit"], "".join(golden["stdout"]), "".join(golden["stderr"]))
+        assert (done.returncode, done.stdout, done.stderr) == golden(argv.split())
 
     def test_run_freezes_before_the_verb_and_keeps_atexit(self):
         script = (

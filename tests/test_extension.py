@@ -10,7 +10,6 @@ from livcalc import (
     AnalyticFn,
     ClassVerdict,
     FnKind,
-    NotContractive,
     OutOfRange,
     characteristic_from_livsic,
     class_C_check,
@@ -24,7 +23,6 @@ from livcalc import (
     realize_herglotz,
     sup_deviation,
 )
-from livcalc.core import to_json
 from livcalc.measure import BorelMeasureModel
 
 GRID = default_grid()
@@ -44,7 +42,6 @@ class TestEnsureKappa:
     def test_rejects_boundary_and_outside(self, bad):
         with pytest.raises(OutOfRange, match=r"needs \|kappa\| < 1"):
             ensure_kappa(bad)
-
 
 class TestCharacteristicFromLivsic:
     def test_zero_kappa_negates(self):
@@ -90,10 +87,6 @@ class TestExtractKappa:
     def test_constant_probe(self):
         assert extract_kappa(constant_fn(0.5, kind=FnKind.CHARACTERISTIC)) == 0.5
 
-    def test_rejects_non_contractive(self):
-        with pytest.raises(NotContractive):
-            extract_kappa(constant_fn(1.5, kind=FnKind.CHARACTERISTIC))
-
     @given(disk_kappas)
     @settings(max_examples=30, deadline=None)
     def test_round_trip_through_characteristic(self, kappa):
@@ -134,11 +127,6 @@ class TestReferenceChangeLivsic:
             )
             assert worst < 1e-15
 
-    def test_rejects_angle_outside_range(self):
-        with pytest.raises(ValueError):
-            reference_change_livsic(MODEL_ONE.livsic, math.pi)
-
-
 class TestReferenceChangeWeyl:
     def test_alpha_zero_is_identity(self):
         assert sup_deviation(reference_change_weyl(PAIR_M, 0.0), PAIR_M, GRID) == 0.0
@@ -162,18 +150,6 @@ class TestClassCCheck:
             assert report.verdict is ClassVerdict.CONSISTENT_WITH_C
             assert report.vanishes_at_i and report.ray_growth_passed
 
-    def test_constant_fails_at_i(self):
-        report = class_C_check(constant_fn(0.5))
-        assert report.verdict is ClassVerdict.FAILS_AT_I
-        assert not report.vanishes_at_i
-
-    def test_cayley_blaschke_fails_growth(self):
-        # z (s(z) - 1) tends to the bounded value -2i along every ray
-        probe = AnalyticFn(lambda z: (z - 1j) / (z + 1j), FnKind.GENERIC, "cayley")
-        report = class_C_check(probe)
-        assert report.verdict is ClassVerdict.FAILS_GROWTH
-        assert report.vanishes_at_i and not report.ray_growth_passed
-
     def test_finite_mass_cayley_image_fails_growth(self):
         # a finite total-mass measure model gives s -> -1 at infinity, so
         # z (s(z) + 1) stays bounded along the probe rays; the membership
@@ -183,10 +159,3 @@ class TestClassCCheck:
         report = class_C_check(livsic_from_weyl(PAIR_M))
         assert report.verdict is ClassVerdict.FAILS_GROWTH
         assert report.vanishes_at_i
-
-    def test_report_serializes_all_rays(self):
-        report = class_C_check(MODEL_ONE.livsic)
-        payload = to_json(report)
-        assert len(payload["ray_details"]) == 16 * 3
-        assert payload["verdict"] == "ConsistentWithC"
-        assert all(len(d["magnitudes"]) == 4 for d in payload["ray_details"])

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from livcalc import _kernels
 
@@ -51,8 +50,3 @@ class TestSimpsonExp:
         got = _kernels.simpson_exp(a, 1.5, 4096)
         expected = (np.exp(a * 1.5) - 1.0) / a
         assert abs(got - expected) < 1e-12
-
-    def test_rejects_odd_panel_count(self):
-        with pytest.raises(ValueError):
-            _kernels.simpson_exp(1.0, 1.0, 7)
-

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from livcalc import (
     AnalyticFn,
     BorelMeasureModel,
-    EmptyMeasure,
     FnKind,
+    OutOfRange,
     PoleEncountered,
     SampledDensity,
-    WindowTooSmall,
     constant_fn,
     default_grid,
-    evaluate_many,
     livsic_from_weyl,
     max_modulus,
     min_imag,
@@ -55,22 +53,6 @@ def cauchy_density(x_lo=-20.0, x_hi=20.0, n=2001):
 
 
 class TestModelValidation:
-    def test_rejects_duplicate_locations(self):
-        with pytest.raises(ValueError):
-            BorelMeasureModel(((1.0, 1.0), (1.0, 2.0)))
-
-    def test_rejects_nonpositive_weight(self):
-        with pytest.raises(ValueError):
-            BorelMeasureModel(((0.0, 0.0),))
-
-    def test_density_needs_odd_sample_count(self):
-        with pytest.raises(ValueError):
-            SampledDensity(0.0, 1.0, (1.0, 1.0, 1.0, 1.0))
-
-    def test_density_rejects_negative_values(self):
-        with pytest.raises(ValueError):
-            SampledDensity(0.0, 1.0, (1.0, -0.1, 1.0))
-
     def test_json_round_trip(self):
         obj = {
             "atoms": [{"location": "0.5", "weight": "1.25"}],
@@ -104,17 +86,6 @@ class TestRealizeHerglotz:
         for z in (1j, 3j, -1 + 2j):
             assert abs(M(z) - (2.0 / (1.0 - z) - 1.0)) < 1e-14
         assert abs(M(1j) - 1j) < 1e-15
-
-    def test_empty_measure_rejected(self):
-        with pytest.raises(EmptyMeasure):
-            realize_herglotz(BorelMeasureModel(()))
-
-    def test_vector_matches_scalar(self):
-        M = realize_herglotz(PAIR_ATOMS)
-        zs = GRID.points
-        np.testing.assert_allclose(
-            evaluate_many(M, zs), np.array([M(z) for z in GRID]), rtol=0, atol=0
-        )
 
     def test_positive_imaginary_part_on_grid(self):
         for mu in (ORIGIN_ATOM, PAIR_ATOMS, HEAVY_ATOM):
@@ -169,10 +140,6 @@ class TestLivsicFromWeyl:
         for mu in (ORIGIN_ATOM, PAIR_ATOMS, HEAVY_ATOM):
             s = livsic_from_weyl(realize_herglotz(mu))
             assert max_modulus(s, GRID) < 1.0
-
-    def test_rejects_non_herglotz_kind(self):
-        with pytest.raises(ValueError):
-            livsic_from_weyl(constant_fn(0.5))
 
     def test_bad_input_pole(self):
         fake = constant_fn(-1j, kind=FnKind.HERGLOTZ)
@@ -243,7 +210,7 @@ class TestStieltjesInversion:
         # scan lattice point, without iterating
         monkeypatch.setattr(
             measure, "minimize_scalar",
-            lambda func, bounds, xatol: BoundedMinimum(0.5 * (bounds[0] + bounds[1]), 1),
+            lambda func, bounds: BoundedMinimum(0.5 * (bounds[0] + bounds[1]), 1),
         )
         result = invert_off_lattice_pair()
         assert len(result.atoms) == 0
@@ -252,23 +219,8 @@ class TestStieltjesInversion:
 
     @pytest.mark.parametrize("window", [(-math.inf, 2.0), (-2.0, math.inf), (math.nan, 2.0)])
     def test_rejects_non_finite_window(self, window):
-        with pytest.raises(ValueError, match="window"):
+        with pytest.raises(OutOfRange, match="^window .* must be finite"):
             stieltjes_invert(realize_herglotz(ORIGIN_ATOM), window, ATOM_SCHEDULE)
-
-    def test_window_leak_detected(self):
-        with pytest.raises(WindowTooSmall):
-            stieltjes_invert(
-                realize_herglotz(ORIGIN_ATOM), (-2.0, 0.05), (1e-2, 1e-3, 1e-4)
-            )
-
-    def test_requires_decreasing_schedule(self):
-        with pytest.raises(ValueError):
-            stieltjes_invert(realize_herglotz(ORIGIN_ATOM), (-2.0, 2.0), (1e-3, 1e-2))
-
-    @pytest.mark.parametrize("schedule", [(1e-2, math.nan), (math.inf, 1e-2)])
-    def test_rejects_non_finite_schedule(self, schedule):
-        with pytest.raises(ValueError, match="eps_schedule"):
-            stieltjes_invert(realize_herglotz(ORIGIN_ATOM), (-2.0, 2.0), schedule)
 
 
 def invert_off_lattice_pair():
@@ -326,7 +278,7 @@ class TestBoundedMinimizer:
     def test_lorentzian_vertex_with_off_centre_bracket(self):
         lam, eps, w = 0.3141592653589793, 1e-4, 0.7
         refined = minimize_scalar(
-            lambda x: -w * eps / ((x - lam) ** 2 + eps * eps), (lam - 3e-4, lam + 1.7e-3), 1e-13
+            lambda x: -w * eps / ((x - lam) ** 2 + eps * eps), (lam - 3e-4, lam + 1.7e-3)
         )
         assert abs(refined.x - lam) < 1e-12
         assert refined.nfev == 6
@@ -343,7 +295,7 @@ class TestBoundedMinimizer:
             calls.append(x)
             return func(x)
 
-        refined = minimize_scalar(counted, (-0.5, 1.0), 1e-13)
+        refined = minimize_scalar(counted, (-0.5, 1.0))
         assert -0.5 <= refined.x <= 1.0
         assert refined.nfev == len(calls) <= 6
 
@@ -351,9 +303,8 @@ class TestBoundedMinimizer:
         (-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0), (1.0, 0.0),
     ])
     def test_rejects_non_finite_or_reversed_bounds(self, bounds):
-        with pytest.raises(ValueError):
-            minimize_scalar(lambda x: x * x, bounds, 1e-5)
-
+        with pytest.raises(OutOfRange, match="^bounds .* must be finite with lo < hi"):
+            minimize_scalar(lambda x: x * x, bounds)
 
 atom_lattices = st.lists(
     st.sampled_from([round(-1.25 + 0.25 * k, 2) for k in range(11)]),

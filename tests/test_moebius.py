@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from livcalc import (
     AnalyticFn,
     BorelMeasureModel,
-    DegenerateMap,
     FnKind,
     MoebiusMap,
     PoleEncountered,
@@ -54,15 +53,6 @@ class TestConstructors:
     def test_rotation_at_zero_is_identity(self):
         R = MoebiusMap.halfplane_rotation(0.0)
         assert (R.a, R.b, R.c, R.d) == (1, 0, 0, 1)
-
-    def test_disk_automorphism_rejects_large_kappa(self):
-        with pytest.raises(ValueError):
-            MoebiusMap.disk_automorphism(1.0)
-
-    def test_degenerate_map_rejected(self):
-        with pytest.raises(DegenerateMap):
-            MoebiusMap(1.0, 2.0, 2.0, 4.0)
-
 
 class TestApply:
     def test_cayley_at_i(self):

@@ -59,9 +59,9 @@ def mistagged_forms(ell):
         forms.livsic, forms.characteristic, math.exp(-ell) * (1 + 1e-6))
 
 
-def refined_to_bracket_edge(func, bounds, xatol):
+def refined_to_bracket_edge(func, bounds):
     # the refinement's evaluations, but its point left at the bracket's lower end
-    return measure.BoundedMinimum(bounds[0], minimize(func, bounds, xatol).nfev)
+    return measure.BoundedMinimum(bounds[0], minimize(func, bounds).nfev)
 
 
 def g_plus_without_decay(ell):
